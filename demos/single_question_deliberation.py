@@ -44,7 +44,7 @@ train_items = [p for it in bench.items
                for p in bench.permutations_for(it)]
 
 print(f"training on {len(train_items)} permuted items "
-      f"({params.n_params} parameters, depths sampled from 1..{K}) ...")
+      f"({params.n_params()} parameters, depths sampled from 1..{K}) ...")
 log = train(params, train_items, world,
             TrainConfig(epochs=16, batch_size=32, lr=3e-3, warmup_steps=30,
                         seed=1))
@@ -53,8 +53,10 @@ for epoch, loss in zip(log.epochs, log.mean_losses):
 
 base_items = [it for it in bench.items if it.variant == "Base"]
 eval_perms = [bench.permutations_for(it)[0] for it in base_items]
-acc = evaluate_accuracy(params, eval_perms, world, k=K)
-print(f"training-set accuracy at depth {K}: {acc:.2f} (chance 0.25)\n")
+accs = evaluate_accuracy(params, eval_perms, world, depths=(K // 2, K))
+print("training-set accuracy: "
+      + ", ".join(f"{a:.2f} at depth {d}" for d, a in accs.items())
+      + " (chance 0.25)\n")
 
 item = base_items[0]
 perm = bench.permutations_for(item)[0]

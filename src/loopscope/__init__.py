@@ -37,7 +37,7 @@ from .model import (
     LoopedConfig,
     LoopedModelParams,
     StepDistribution,
-    coda_decode,
+    deliberate,
     init_params,
     prelude_forward,
     recurrent_step,

@@ -13,6 +13,10 @@ import math
 import numpy as np
 
 
+# shared by the taped forward here and the inference forward in layers.py
+GELU_COEF = 0.044715    # cubic term of the tanh-form GELU
+LN_EPS = 1e-5           # layernorm variance floor
+
 _GRAD_ENABLED = [True]
 
 
@@ -262,12 +266,12 @@ def gelu(a) -> Tensor2:
     x = a.data
     c = x.dtype.type(np.sqrt(2.0 / np.pi))
     x2 = x * x
-    inner = c * (x + 0.044715 * (x2 * x))
+    inner = c * (x + GELU_COEF * (x2 * x))
     t = np.tanh(inner)
     out = Tensor2(0.5 * x * (1.0 + t), (a,), "gelu")
 
     def bwd(g):
-        dinner = c * (1.0 + 0.134145 * x2)
+        dinner = c * (1.0 + 3.0 * GELU_COEF * x2)
         da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         a._accum(g * da)
 
@@ -275,7 +279,7 @@ def gelu(a) -> Tensor2:
     return out
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor2:
+def layer_norm(x, gain, bias, eps: float = LN_EPS) -> Tensor2:
     """Row-wise layernorm with learned affine (gain/bias are 1xN)."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):

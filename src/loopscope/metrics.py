@@ -137,29 +137,44 @@ class BeliefTrajectory:
         return self.correct_index is not None and self.final_answer == self.correct_index
 
 
+def _xlogx_rows(p: np.ndarray) -> np.ndarray:
+    """Row sums of p ln p over the entries p > 0 (so 0 ln 0 = 0)."""
+    pos = p > 0
+    return (np.where(pos, p, 0.0) * np.log(np.where(pos, p, 1.0))).sum(axis=1)
+
+
 def belief_trajectory(step_dists, option_token_ids, item_id: str = "",
                       variant: str = "", perm_index: int = 0,
                       correct_index=None, similarities=(), options=()) -> BeliefTrajectory:
     """Extract option beliefs, entropies, argmax and step-KL series from the
-    full decoded distributions p_1..p_K."""
+    full decoded distributions p_1..p_K: a (K, vocab) array, or a sequence
+    of K objects whose `.probs` holds one distribution each."""
     ids = [int(i) for i in option_token_ids]
     if len(ids) != 4 or len(set(ids)) != 4:
         raise ValueError("exactly 4 distinct option token ids required")
-    if not step_dists:
-        raise ValueError("at least one step distribution required")
-    full = [np.asarray(d.probs, dtype=np.float64).reshape(-1) for d in step_dists]
-    k = len(full)
-    option_probs = np.array([[p[i] for i in ids] for p in full])
+    if not isinstance(step_dists, np.ndarray):
+        step_dists = [np.asarray(d.probs).reshape(-1) for d in step_dists]
+    full = np.asarray(step_dists, dtype=np.float64)
+    if full.ndim != 2 or full.shape[0] == 0:
+        raise ValueError("at least one step distribution required, as a "
+                         "(K, vocab) array")
+    if np.any(full < 0):
+        raise ValueError("negative probability")
+    totals = full.sum(axis=1)
+    off = np.abs(totals - 1.0) > 1e-4
+    if off.any():
+        raise ValueError(f"distribution sums to {totals[off.argmax()]}, not 1")
+    option_probs = full[:, ids]
     renorm = option_probs / option_probs.sum(axis=1, keepdims=True)
+    nxt, prev = full[1:], np.maximum(full[:-1], KL_FLOOR)
     return BeliefTrajectory(
-        item_id=item_id, variant=variant, perm_index=perm_index, k=k,
-        option_probs=option_probs,
-        full_entropy=np.array([entropy(p) for p in full]),
-        renorm_entropy=np.array([float(-(r[r > 0] * np.log(r[r > 0])).sum())
-                                 for r in renorm]),
+        item_id=item_id, variant=variant, perm_index=perm_index,
+        k=full.shape[0], option_probs=option_probs,
+        full_entropy=-_xlogx_rows(full),
+        renorm_entropy=-_xlogx_rows(renorm),
         argmax_series=option_probs.argmax(axis=1),  # ties -> lowest index
-        step_kl_series=np.array([step_kl(full[i + 1], full[i])
-                                 for i in range(k - 1)]),
+        # KL(p_{i+1} || p_i); terms with p_{i+1} = 0 contribute 0
+        step_kl_series=(nxt * np.log(np.where(nxt > 0, nxt, 1.0) / prev)).sum(axis=1),
         correct_index=correct_index,
         similarities=list(similarities), options=list(options))
 

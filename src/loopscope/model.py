@@ -12,7 +12,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autograd import Tensor2, NumericError, ShapeError, layer_norm, matmul_nt, take_rows
-from .layers import LayerParams, init_layer, layer_param_count, transformer_layer_forward
+from .layers import (
+    Buffers,
+    LayerParams,
+    answer_layer_forward,
+    init_layer,
+    layer_forward_inplace,
+    layer_norm_into,
+    layer_param_count,
+    transformer_layer_forward,
+)
 
 
 @dataclass
@@ -177,7 +186,7 @@ def recurrent_step(state: HiddenState, params: LoopedModelParams) -> HiddenState
 
 def answer_logits(state: HiddenState, params: LoopedModelParams) -> Tensor2:
     """Coda stack + final norm + tied LM head at the last position of each
-    sequence. Differentiable; used both for training loss and decoding."""
+    sequence, on the autograd tape: the training loss reads it."""
     cfg = params.config
     h = state.h
     for layer in params.coda:
@@ -187,37 +196,67 @@ def answer_logits(state: HiddenState, params: LoopedModelParams) -> Tensor2:
     return matmul_nt(take_rows(h, last), params.embedding)
 
 
-def coda_decode(state: HiddenState, params: LoopedModelParams) -> StepDistribution:
-    """Exact readout of p_i = softmax(C(h_i)) at the answer position.
+def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
+    """Decoded beliefs p_i = softmax(C(h_i)) at the answer position after
+    every recurrence step i = 1..k, as a (k, batch, vocab) float64 block.
 
-    Valid at any step index; softmax is taken in float64 so probabilities
-    sum to 1 to full precision.
-    """
-    logits = answer_logits(state, params).data.astype(np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("coda produced non-finite logits")
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    if state.batch == 1:
-        p = p[0]
-    return StepDistribution(probs=p, step=state.step)
-
-
-def run_deliberation(tokens, params: LoopedModelParams, k: int):
-    """Decode the model's belief at every recurrence step 1..k.
-
-    Returns a list of k StepDistributions; running with a smaller k yields
-    an exact prefix of a larger-k run (steps are pure).
+    Cache-free inference on raw arrays: no autograd graph is built, and the
+    activation buffers are allocated once and reused by every layer and
+    step. It computes in the weights' dtype; the softmax is taken in
+    float64, so every row sums to 1 to full precision. The last coda layer
+    runs its query, MLP, final norm and LM head only at the answer row. A
+    smaller k yields an exact prefix of a larger k (steps are pure).
     """
     cfg = params.config
     if k < 1:
         raise ValueError("k must be >= 1 (decoding starts at step 1)")
     if k > cfg.k_max:
         raise ValueError(f"k {k} exceeds k_max {cfg.k_max}")
-    state = prelude_forward(tokens, params)
-    dists = []
-    for _ in range(k):
-        state = recurrent_step(state, params)
-        dists.append(coda_decode(state, params))
-    return dists
+    ids = _check_tokens(tokens, cfg)
+    batch, seq = ids.shape
+    emb = params.embedding.data
+    dtype, d = emb.dtype, cfg.d_model
+    buf = Buffers(batch, seq, seq, d, cfg.d_mlp, cfg.n_heads, dtype)
+    ans = Buffers(batch, 1, seq, d, cfg.d_mlp, cfg.n_heads, dtype)
+
+    h = np.take(emb, ids.reshape(-1), axis=0)
+    h.reshape(batch, seq, d)[...] += params.pos.data[:seq]
+    for layer in params.prelude:
+        layer_forward_inplace(h, layer, buf)
+    if not np.all(np.isfinite(h)):
+        raise NumericError("prelude produced non-finite activations")
+
+    coda = np.empty_like(h)
+    top = np.empty((batch, d), dtype)
+    logits = np.empty((batch, cfg.vocab_size), dtype)
+    probs = np.empty((k, batch, cfg.vocab_size))
+    for i in range(k):
+        for layer in params.recurrent:
+            layer_forward_inplace(h, layer, buf)
+        np.copyto(coda, h)
+        for layer in params.coda[:-1]:
+            layer_forward_inplace(coda, layer, buf)
+        answer_layer_forward(coda, params.coda[-1], buf, ans, top)
+        layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
+                        ans.ln, ans.proj, ans.stat)
+        np.matmul(ans.ln, emb.T, out=logits)
+        p = probs[i]
+        p[...] = logits
+        if not np.all(np.isfinite(p)):
+            raise NumericError("coda produced non-finite logits")
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+    return probs
+
+
+def run_deliberation(tokens, params: LoopedModelParams, k: int):
+    """Decode the model's belief at every recurrence step 1..k.
+
+    Returns a list of k StepDistributions, (vocab,) probabilities for a
+    single sequence and (batch, vocab) otherwise; see `deliberate`.
+    """
+    probs = deliberate(tokens, params, k)
+    if probs.shape[1] == 1:
+        probs = probs[:, 0]
+    return [StepDistribution(probs=p, step=i + 1) for i, p in enumerate(probs)]

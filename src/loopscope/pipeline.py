@@ -15,10 +15,10 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
-from .autograd import no_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
     CORRECT,
@@ -29,14 +29,7 @@ from .metrics import (
     similarity_rank,
     write_trajectories_jsonl,
 )
-from .model import (
-    LoopedConfig,
-    StepDistribution,
-    coda_decode,
-    init_params,
-    prelude_forward,
-    recurrent_step,
-)
+from .model import LoopedConfig, deliberate, init_params
 from .seeds import derive_seed
 from .svgplot import emit_entropy_plot, emit_trajectory_plot
 from .taskgen import RENDER_LEN, build_world, generate_benchmark, render_tokens, write_benchmark_jsonl
@@ -267,23 +260,16 @@ def stage_trace(config: ExperimentConfig, world, bench, params,
             for perm in bench.permutations_for(item)]
     tokens = np.stack([world.encode(render_tokens(p)) for _, p in rows])
     trajectories = []
-    with no_grad():
-        for lo in range(0, len(rows), config.trace_batch):
-            hi = min(lo + config.trace_batch, len(rows))
-            state = prelude_forward(tokens[lo:hi], params)
-            dists = []
-            for _ in range(config.k):
-                state = recurrent_step(state, params)
-                dists.append(coda_decode(state, params))
-            for j, (item, perm) in enumerate(rows[lo:hi]):
-                row_dists = [StepDistribution(probs=np.atleast_2d(d.probs)[j],
-                                              step=d.step) for d in dists]
-                trajectories.append(belief_trajectory(
-                    row_dists, world.encode(perm.options),
-                    item_id=item.item_id, variant=item.variant,
-                    perm_index=perm.perm_index,
-                    correct_index=perm.correct_index,
-                    similarities=perm.similarities, options=perm.options))
+    for lo in range(0, len(rows), config.trace_batch):
+        hi = min(lo + config.trace_batch, len(rows))
+        probs = deliberate(tokens[lo:hi], params, config.k)
+        for j, (item, perm) in enumerate(rows[lo:hi]):
+            trajectories.append(belief_trajectory(
+                probs[:, j], world.encode(perm.options),
+                item_id=item.item_id, variant=item.variant,
+                perm_index=perm.perm_index,
+                correct_index=perm.correct_index,
+                similarities=perm.similarities, options=perm.options))
     if write:
         write_trajectories_jsonl(
             trajectories, os.path.join(config.output_dir, TRAJ_FILE))
@@ -292,8 +278,11 @@ def stage_trace(config: ExperimentConfig, world, bench, params,
 
 def entropy_curves(trajectories, level: float = 0.95) -> dict:
     """Per-variant mean full-vocabulary entropy per step with a normal CI
-    band (mean +- z * standard error)."""
-    z = {0.9: 1.6449, 0.95: 1.96, 0.99: 2.5758}.get(level, 1.96)
+    band (mean +- z * standard error), z the two-sided normal quantile of
+    `level`."""
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    z = NormalDist().inv_cdf((1 + level) / 2)
     curves = {}
     by_variant = {}
     for t in trajectories:
@@ -455,9 +444,25 @@ def verify(output_dir) -> list:
     manifest_path = os.path.join(output_dir, MANIFEST_FILE)
     if not os.path.exists(manifest_path):
         return [f"no manifest at {manifest_path} (partial or missing run)"]
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    for name, digest in manifest["files"].items():
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        return [f"{MANIFEST_FILE}: not readable as JSON ({e})"]
+    if not isinstance(manifest, dict):
+        return [f"{MANIFEST_FILE}: not a JSON object"]
+    missing = [key for key in ("files", "config") if key not in manifest]
+    if missing:
+        return [f"{MANIFEST_FILE}: lacks {', '.join(repr(k) for k in missing)}"]
+    files = manifest["files"]
+    if not isinstance(files, dict) or not all(
+            isinstance(v, str) for v in files.values()):
+        return [f"{MANIFEST_FILE}: \"files\" is not a map of file names to hashes"]
+    try:
+        config = ExperimentConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as e:
+        return [f"{MANIFEST_FILE}: config rejected ({e})"]
+    for name, digest in files.items():
         path = os.path.join(output_dir, name)
         if not os.path.exists(path):
             problems.append(f"{name}: listed in manifest but missing")
@@ -466,7 +471,6 @@ def verify(output_dir) -> list:
     if problems:
         return problems
 
-    config = ExperimentConfig.from_dict(manifest["config"])
     trajectories = read_trajectories_jsonl(os.path.join(output_dir, TRAJ_FILE))
     summary = aggregate_stats(
         trajectories, tol=config.tol, window=config.window,

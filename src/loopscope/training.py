@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import NumericError, cross_entropy_logits, no_grad
-from .model import LoopedModelParams, answer_logits, prelude_forward, recurrent_step
+from .autograd import NumericError, cross_entropy_logits
+from .model import LoopedModelParams, answer_logits, deliberate, prelude_forward, recurrent_step
 from .taskgen import SyntheticWorld, render_tokens
 
 
@@ -162,25 +162,27 @@ def encode_dataset(permuted_items, world: SyntheticWorld):
 
 
 def evaluate_accuracy(params: LoopedModelParams, permuted_items, world: SyntheticWorld,
-                      k: int, batch_size: int = 512) -> float:
-    """Fraction of items whose argmax over the 4 option tokens at depth k is
-    the correct option. NoCorrect items are rejected."""
+                      depths, batch_size: int = 512) -> dict:
+    """{depth: fraction of items whose argmax over the 4 option tokens at
+    that recurrence depth is the correct option}, every depth read from one
+    unroll to the deepest. NoCorrect items are rejected."""
     if not permuted_items:
         raise ValueError("empty item list")
+    depths = list(depths)
+    if not depths or min(depths) < 1:
+        raise ValueError("depths must be a nonempty set of depths >= 1")
     tokens, _ = encode_dataset(permuted_items, world)
     option_ids = np.stack([world.encode(p.options) for p in permuted_items])
     correct = np.array([p.correct_index for p in permuted_items])
-    hits = 0
-    with no_grad():
-        for lo in range(0, len(permuted_items), batch_size):
-            hi = min(lo + batch_size, len(permuted_items))
-            state = prelude_forward(tokens[lo:hi], params)
-            for _ in range(k):
-                state = recurrent_step(state, params)
-            logits = answer_logits(state, params).data
-            opt_logits = logits[np.arange(hi - lo)[:, None], option_ids[lo:hi]]
-            hits += int((opt_logits.argmax(axis=1) == correct[lo:hi]).sum())
-    return hits / len(permuted_items)
+    steps = np.array(depths) - 1
+    hits = np.zeros(len(depths), dtype=np.int64)
+    for lo in range(0, len(permuted_items), batch_size):
+        hi = min(lo + batch_size, len(permuted_items))
+        probs = deliberate(tokens[lo:hi], params, max(depths))
+        opt = probs[steps[:, None, None], np.arange(hi - lo)[:, None],
+                    option_ids[lo:hi]]
+        hits += (opt.argmax(axis=2) == correct[lo:hi]).sum(axis=1)
+    return {d: int(h) / len(permuted_items) for d, h in zip(depths, hits)}
 
 
 def train(params: LoopedModelParams, train_items, world: SyntheticWorld,
@@ -204,10 +206,9 @@ def train(params: LoopedModelParams, train_items, world: SyntheticWorld,
             losses.append(train_step(params, (tokens[idx], targets[idx]), k,
                                      optimizer))
         accs = {}
-        if eval_items:
-            depths = [d for d in eval_depths if d <= k_max]
-            accs = {d: evaluate_accuracy(params, eval_items, world, d)
-                    for d in depths}
+        depths = [d for d in eval_depths if d <= k_max]
+        if eval_items and depths:
+            accs = evaluate_accuracy(params, eval_items, world, depths)
         log.epochs.append(epoch)
         log.mean_losses.append(float(np.mean(losses)))
         log.wall_clock_s.append(time.monotonic() - t0)

@@ -17,7 +17,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from loopscope.autograd import Tensor2, cross_entropy_logits, finite_diff_check, no_grad
+from loopscope.autograd import Tensor2, cross_entropy_logits, finite_diff_check
 from loopscope.checkpoint import load_checkpoint, save_checkpoint
 from loopscope.cli import main as cli_main
 from loopscope.layers import init_layer, transformer_layer_forward
@@ -33,10 +33,10 @@ from loopscope.metrics import (
 from loopscope.model import (
     LoopedConfig,
     answer_logits,
-    coda_decode,
     init_params,
     prelude_forward,
     recurrent_step,
+    run_deliberation,
 )
 from loopscope.pipeline import ExperimentConfig, run_experiment, verify
 from loopscope.seeds import derive_seed
@@ -131,15 +131,15 @@ def test_decoder_readiness_all_depths_on_held_out_inputs(experiment):
     held = held_out(config, bench, "Base")[:100]
     assert len(held) == 100
     tokens = np.stack([world.encode(render_tokens(p)) for p in held])
-    with no_grad():
-        state = prelude_forward(tokens, params)
-        for i in range(1, K + 1):
-            state = recurrent_step(state, params)
-            probs = np.atleast_2d(coda_decode(state, params).probs)
-            sums = probs.sum(axis=1)
-            assert np.all(np.abs(sums - 1.0) <= 1e-6), \
-                f"step {i}: prob sums off by {np.abs(sums - 1).max()}"
-            assert np.all(probs > 0), f"step {i}: zero probability"
+    dists = run_deliberation(tokens, params, K)
+    assert [d.step for d in dists] == list(range(1, K + 1))
+    for i, dist in enumerate(dists, start=1):
+        probs = dist.probs
+        assert probs.shape == (100, len(world.vocab))
+        sums = probs.sum(axis=1)
+        assert np.all(np.abs(sums - 1.0) <= 1e-6), \
+            f"step {i}: prob sums off by {np.abs(sums - 1).max()}"
+        assert np.all(probs > 0), f"step {i}: zero probability"
     print("PASS decoder-readiness: sum p_i = 1 +- 1e-6, p_i > 0 for "
           "i in 1..30 on 100 held-out inputs")
 
@@ -150,11 +150,9 @@ def test_depth_robustness_easy_accuracy_at_four_depths(experiment):
     config, world, bench, params, _, _ = experiment
     easy = [p for it in bench.items if it.variant == "Easy"
             for p in bench.permutations_for(it)]
-    accs = {k: evaluate_accuracy(params, easy, world, k)
-            for k in (4, 8, 16, 30)}
-    held_accs = {k: evaluate_accuracy(params, held_out(config, bench, "Easy"),
-                                      world, k)
-                 for k in (4, 8, 16, 30)}
+    accs = evaluate_accuracy(params, easy, world, (4, 8, 16, 30))
+    held_accs = evaluate_accuracy(params, held_out(config, bench, "Easy"),
+                                  world, (4, 8, 16, 30))
     for k, acc in accs.items():
         assert acc >= 0.75, f"Easy accuracy {acc:.3f} at depth {k} < 0.75"
     print("PASS depth robustness: Easy accuracy "

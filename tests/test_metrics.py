@@ -261,6 +261,33 @@ def test_belief_trajectory_rejects_duplicates():
         belief_trajectory([dist], [1, 1, 2, 3])
 
 
+def test_belief_trajectory_array_matches_per_row_loops():
+    rng = np.random.default_rng(12)
+    probs = rng.dirichlet(np.ones(30), size=6)
+    probs[2, 5] = 0.0      # exact zeros: 0 ln 0 = 0, and a zero KL term
+    probs[2] /= probs[2].sum()
+    probs[4, 9] = 0.0
+    probs[4] /= probs[4].sum()
+    ids = [5, 9, 17, 28]
+    t = belief_trajectory(probs, ids)
+    listed = belief_trajectory(
+        [StepDistribution(probs=p, step=i + 1) for i, p in enumerate(probs)], ids)
+    for name in ("option_probs", "full_entropy", "renorm_entropy",
+                 "argmax_series", "step_kl_series"):
+        assert np.array_equal(getattr(t, name), getattr(listed, name)), name
+    assert np.allclose(t.full_entropy, [entropy(p) for p in probs],
+                       rtol=1e-12, atol=0)
+    assert np.allclose(t.step_kl_series,
+                       [step_kl(probs[i + 1], probs[i]) for i in range(5)],
+                       rtol=1e-12, atol=1e-15)
+    bad = probs.copy()
+    bad[3, 0] = -1e-3
+    for arr, ids_ in ((bad, ids), (probs * 1.01, ids), (probs, [5, 5, 17, 28]),
+                      (probs[:0], ids), (probs[0], ids)):
+        with pytest.raises(ValueError):
+            belief_trajectory(arr, ids_)
+
+
 # -- similarity rank -----------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from loopscope.cli import main as cli_main
@@ -15,10 +16,12 @@ from loopscope.pipeline import (
     ExperimentConfig,
     PipelineError,
     check_output_dir,
+    entropy_curves,
     run_experiment,
     verify,
 )
 from loopscope.training import TrainConfig
+from tests.test_metrics import make_traj
 
 
 def tiny_config(out, seed=0):
@@ -108,6 +111,39 @@ def test_verify_passes_and_detects_tamper(run, tmp_path):
     assert verify(str(tmp_path)) != []
 
 
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return json.dumps(manifest)
+    return edit
+
+
+def _set_config(key, value):
+    def edit(manifest):
+        manifest["config"][key] = value
+        return json.dumps(manifest)
+    return edit
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda m: json.dumps(m)[:40], "not readable as JSON"),
+    (_drop("files"), "lacks 'files'"),
+    (_drop("config"), "lacks 'config'"),
+    (_set_config("no_such_field", 1), "config rejected"),
+    (_set_config("k", 0), "config rejected"),
+], ids=["not_json", "no_files", "no_config", "unknown_config_field",
+        "invalid_config_value"])
+def test_verify_names_a_malformed_manifest(run, tmp_path, edit, named):
+    config, _ = run
+    with open(os.path.join(config.output_dir, MANIFEST_FILE)) as f:
+        manifest = json.load(f)
+    with open(tmp_path / MANIFEST_FILE, "w") as f:
+        f.write(edit(manifest))
+    problems = verify(str(tmp_path))
+    assert len(problems) == 1 and named in problems[0], problems
+    assert cli_main(["verify", "--output-dir", str(tmp_path)]) == 1
+
+
 def test_rerun_is_byte_identical(run, tmp_path):
     config, report = run
     config2 = tiny_config(tmp_path / "exp2", seed=config.seed)
@@ -187,3 +223,19 @@ def test_cli_trace_without_checkpoint_fails(tmp_path, capsys):
     tiny_config(out).write_json(cfg_path)
     assert cli_main(["trace", "--config", str(cfg_path)]) == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level,z", [(0.8, 1.2815515655446004),
+                                     (0.95, 1.959963984540054)])
+def test_entropy_curve_band_is_the_normal_quantile_of_level(level, z):
+    # entropies 1, 2, 3, 4 at every step: mean 2.5, standard error
+    # sqrt(5/3) / 2
+    trajs = [make_traj(f"q{i}", "Base", 0, [0, 0], correct=0, final_entropy=e)
+             for i, e in enumerate((1.0, 2.0, 3.0, 4.0))]
+    mean, lo, hi = entropy_curves(trajs, level=level)["Base"]
+    se = np.sqrt(5.0 / 3.0) / 2.0
+    assert np.allclose(mean, 2.5)
+    assert np.allclose(hi - mean, z * se, rtol=1e-12)
+    assert np.allclose(mean - lo, z * se, rtol=1e-12)
+    with pytest.raises(ValueError):
+        entropy_curves(trajs, level=1.0)

@@ -140,7 +140,7 @@ def test_chance_accuracy_untrained(world):
     items = [p for it in bench.items if it.variant != "NoCorrect"
              for p in bench.permutations_for(it)]
     assert len(items) >= 1000 * 0.6
-    accs = [evaluate_accuracy(init_params(cfg, seed=s), items, world, k=2)
+    accs = [evaluate_accuracy(init_params(cfg, seed=s), items, world, (2,))[2]
             for s in (4, 5, 6, 7)]
     assert 0.25 == pytest.approx(np.mean(accs), abs=0.05)
 
@@ -159,7 +159,7 @@ def test_lookup_params_memorize_one_item(world, bench):
     params.final_ln_b.data[0, 0] = 10.0
     params.embedding.data[...] = 0.0
     params.embedding.data[target, 0] = 1.0
-    assert evaluate_accuracy(params, [perm], world, k=3) == 1.0
+    assert evaluate_accuracy(params, [perm], world, (1, 3)) == {1: 1.0, 3: 1.0}
 
 
 def test_accuracy_invariant_over_full_permutation_sweep(world, bench):
@@ -175,7 +175,7 @@ def test_accuracy_invariant_over_full_permutation_sweep(world, bench):
                 # shifting which ordering is "base" must not matter on average
                 rotated = tuple(perm[(j + shift) % 4] for j in range(4))
                 items.append(PermutedItem(item=it, perm=rotated, perm_index=i))
-        accs.append(evaluate_accuracy(params, items, world, k=2))
+        accs.append(evaluate_accuracy(params, items, world, (2,))[2])
     assert accs[0] == pytest.approx(accs[1], abs=1e-12)
 
 
@@ -184,9 +184,25 @@ def test_evaluate_rejects_nocorrect_and_empty(world, bench):
     params = init_params(cfg, seed=7)
     nc = next(it for it in bench.items if it.variant == "NoCorrect")
     with pytest.raises(ValueError):
-        evaluate_accuracy(params, bench.permutations_for(nc), world, k=1)
+        evaluate_accuracy(params, bench.permutations_for(nc), world, (1,))
     with pytest.raises(ValueError):
-        evaluate_accuracy(params, [], world, k=1)
+        evaluate_accuracy(params, [], world, (1,))
+    items = bench.permutations_for(bench.items[0])
+    for depths in ((), (0, 2), (cfg.k_max + 1,)):
+        with pytest.raises(ValueError):
+            evaluate_accuracy(params, items, world, depths)
+
+
+def test_one_unroll_reads_every_depth(world, bench):
+    cfg = small_config(world)
+    params = init_params(cfg, seed=12)
+    items = [p for it in bench.items if it.variant != "NoCorrect"
+             for p in bench.permutations_for(it)][:40]
+    depths = (3, 1, cfg.k_max)
+    accs = evaluate_accuracy(params, items, world, depths, batch_size=16)
+    assert list(accs) == list(depths)
+    for d in depths:
+        assert accs[d] == evaluate_accuracy(params, items, world, (d,))[d]
 
 
 def test_train_loop_and_log_csv(world, bench, tmp_path):
