@@ -102,37 +102,58 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 # -- cache-free inference forward -----------------------------------------------
 #
 # The same block as transformer_layer_forward, on raw arrays and in place: no
-# graph, no cache, and every temporary lives in a Buffers set allocated once
-# per forward pass. Each operation matches the taped op's arithmetic in the
-# same order, so a float64 model agrees with the tape to rounding.
+# graph, no cache, and every temporary lives in buffers allocated once per
+# forward pass. Each operation matches the taped op's arithmetic in the same
+# order, so a float64 model agrees with the tape to rounding.
+#
+# One call runs the block for `batch` sequences of n_k positions. It holds the
+# states x of each sequence's last n_x positions and queries the last n_q of
+# them (n_q <= n_x <= n_k). The keys and values of the first n_k - n_x
+# positions are the caller's to put into KeyBuffers.kv: a prefix that many
+# sequences share is computed once and gathered there.
+
+
+class KeyBuffers:
+    """Keys and values of `batch` sequences of n_k positions, and the
+    layernormed states of their last n_x positions, in one dtype."""
+
+    def __init__(self, batch: int, n_x: int, n_k: int, d_model: int, dtype):
+        rows = batch * n_x
+        self.n_x = n_x
+        self.ln = np.empty((rows, d_model), dtype)
+        self.scratch = np.empty((rows, d_model), dtype)
+        self.stat = np.empty((rows, 1), dtype)
+        self.kv = np.empty((batch, n_k, 2 * d_model), dtype)   # keys | values
 
 
 class Buffers:
-    """Activation buffers for `batch` sequences with `n_q` query positions
-    attending over `n_k` key positions, in one dtype."""
+    """Query-side activation buffers for `batch` sequences queried at the
+    last n_q of their n_k positions, in one dtype."""
 
     def __init__(self, batch: int, n_q: int, n_k: int, d_model: int,
                  d_mlp: int, n_heads: int, dtype):
         rows = batch * n_q
         dh = d_model // n_heads
         self.shape = (batch, n_q, n_heads, dh)
-        self.ln = np.empty((rows, d_model), dtype)      # normed sublayer input
+        self.q = np.empty((rows, d_model), dtype)
+        self.ln = np.empty((rows, d_model), dtype)      # normed MLP input
         self.proj = np.empty((rows, d_model), dtype)    # sublayer output
         self.stat = np.empty((rows, 1), dtype)          # per-row mean, variance
-        self.qkv = np.empty((rows, 3 * d_model), dtype)
         self.hidden = np.empty((rows, d_mlp), dtype)
         self.tmp = np.empty((rows, d_mlp), dtype)
         self.scores = np.empty((batch, n_heads, n_q, n_k), dtype)
         self.smax = np.empty((batch, n_heads, n_q, 1), dtype)
         self.ctx = np.empty((rows, d_model), dtype)     # (batch, n_q, heads, dh)
-        self.mask = (np.triu(np.ones((n_q, n_k), dtype=bool), k=1)
-                     if n_q > 1 else None)
+        # query t sits at position n_k - n_q + t and sees the keys up to it
+        mask = np.triu(np.ones((n_q, n_k), dtype=bool), k=n_k - n_q + 1)
+        self.mask = mask if mask.any() else None
         self.neg = np.finfo(dtype).min
 
-    def heads(self, flat: np.ndarray, n_pos: int):
-        """(batch, heads, n_pos, dh) view of a (batch*n_pos, heads*dh) block."""
+    def heads(self, block: np.ndarray, n_pos: int):
+        """(batch, heads, n_pos, dh) view of a (batch*n_pos, heads*dh) or
+        (batch, n_pos, heads*dh) block."""
         batch, _, n_heads, dh = self.shape
-        return flat.reshape(batch, n_pos, n_heads, dh).transpose(0, 2, 1, 3)
+        return block.reshape(batch, n_pos, n_heads, dh).transpose(0, 2, 1, 3)
 
 
 def layer_norm_into(x, gain, bias, out, scratch, stat) -> None:
@@ -196,39 +217,40 @@ def _mlp_residual(x, p: LayerParams, buf: Buffers) -> None:
     x += buf.proj
 
 
-def layer_forward_inplace(x: np.ndarray, p: LayerParams, buf: Buffers) -> None:
-    """One pre-norm causal block over the (batch*seq, d_model) state x, in
-    place; buf is sized for (batch, seq, seq)."""
+def _last(rows: np.ndarray, batch: int, n_x: int, n_q: int) -> np.ndarray:
+    """The last n_q of each sequence's n_x rows (a view for n_q 1 or n_x)."""
+    d = rows.shape[1]
+    return rows.reshape(batch, n_x, d)[:, n_x - n_q:].reshape(batch * n_q, d)
+
+
+def keys_values(x: np.ndarray, p: LayerParams, keys: KeyBuffers) -> None:
+    """LN1 of the rows x into keys.ln, and their keys and values into the
+    last n_x positions of keys.kv."""
     d = x.shape[1]
-    layer_norm_into(x, p.ln1_g.data, p.ln1_b.data, buf.ln, buf.proj, buf.stat)
-    np.matmul(buf.ln, p.w_qkv.data, out=buf.qkv)
-    n = buf.shape[1]
-    q, k, v = (buf.heads(buf.qkv[:, i * d:(i + 1) * d], n) for i in range(3))
-    np.matmul(_attend(q, k, v, buf), p.w_out.data, out=buf.proj)
+    batch, n_k, _ = keys.kv.shape
+    layer_norm_into(x, p.ln1_g.data, p.ln1_b.data, keys.ln, keys.scratch,
+                    keys.stat)
+    np.matmul(keys.ln.reshape(batch, keys.n_x, d), p.w_qkv.data[:, d:],
+              out=keys.kv[:, n_k - keys.n_x:])
+
+
+def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
+                  buf: Buffers, out: np.ndarray | None = None) -> None:
+    """One pre-norm causal block: queries at the last n_q positions over the
+    keys at all n_k (see the comment above KeyBuffers). x is the
+    (batch*n_x, d_model) state of the last n_x positions. With `out` None,
+    n_q = n_x and x is updated in place; otherwise x is left unchanged and
+    the (batch*n_q, d_model) result is written to `out`."""
+    keys_values(x, p, keys)
+    d, n_x = x.shape[1], keys.n_x
+    batch, n_q = buf.shape[:2]
+    n_k = keys.kv.shape[1]
+    np.matmul(_last(keys.ln, batch, n_x, n_q), p.w_qkv.data[:, :d], out=buf.q)
+    k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], n_k) for i in range(2))
+    np.matmul(_attend(buf.heads(buf.q, n_q), k, v, buf), p.w_out.data,
+              out=buf.proj)
     buf.proj += p.b_out.data
-    x += buf.proj
-    _mlp_residual(x, p, buf)
-
-
-def answer_layer_forward(x: np.ndarray, p: LayerParams, buf: Buffers,
-                         ans: Buffers, out: np.ndarray) -> np.ndarray:
-    """The block of layer_forward_inplace at the last position of each
-    sequence only: keys and values come from every row of x, the query,
-    attention output and MLP from the answer rows. x is left unchanged; the
-    (batch, d_model) result is written to `out` and returned. buf is sized
-    for (batch, seq, seq) and ans for (batch, 1, seq)."""
-    d = x.shape[1]
-    batch, seq = buf.shape[0], buf.shape[1]
-    layer_norm_into(x, p.ln1_g.data, p.ln1_b.data, buf.ln, buf.proj, buf.stat)
-    w = p.w_qkv.data
-    kv = buf.qkv[:, :2 * d]
-    np.matmul(buf.ln, w[:, d:], out=kv)
-    k, v = (buf.heads(kv[:, i * d:(i + 1) * d], seq) for i in range(2))
-    q = ans.qkv[:, :d]
-    np.matmul(buf.ln.reshape(batch, seq, d)[:, -1], w[:, :d], out=q)
-    # the last position attends to every key, so nothing is masked
-    np.matmul(_attend(ans.heads(q, 1), k, v, ans), p.w_out.data, out=ans.proj)
-    ans.proj += p.b_out.data
-    np.add(x.reshape(batch, seq, d)[:, -1], ans.proj, out=out)
-    _mlp_residual(out, p, ans)
-    return out
+    if out is None:
+        out = x
+    np.add(_last(x, batch, n_x, n_q), buf.proj, out=out)
+    _mlp_residual(out, p, buf)

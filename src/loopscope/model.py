@@ -14,10 +14,11 @@ import numpy as np
 from .autograd import Tensor2, NumericError, ShapeError, layer_norm, matmul_nt, take_rows
 from .layers import (
     Buffers,
+    KeyBuffers,
     LayerParams,
-    answer_layer_forward,
     init_layer,
-    layer_forward_inplace,
+    keys_values,
+    layer_forward,
     layer_norm_into,
     layer_param_count,
     transformer_layer_forward,
@@ -151,6 +152,8 @@ def _check_tokens(tokens, config: LoopedConfig) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ShapeError("tokens must be a sequence or a batch of sequences")
+    if arr.shape[1] == 0:
+        raise ShapeError("sequences must hold at least one token")
     if arr.shape[1] > config.max_seq:
         raise ShapeError(f"sequence length {arr.shape[1]} exceeds max_seq {config.max_seq}")
     if arr.size and (arr.min() < 0 or arr.max() >= config.vocab_size):
@@ -196,6 +199,32 @@ def answer_logits(state: HiddenState, params: LoopedModelParams) -> Tensor2:
     return matmul_nt(take_rows(h, last), params.embedding)
 
 
+def shared_prefix(ids: np.ndarray):
+    """Split a (batch, seq) token block into distinct prefixes and per-row
+    suffixes: (p, prefixes, group), with prefixes the (U, p) distinct
+    length-p prefixes and group[r] the index of row r's prefix.
+
+    p in [0, seq - 1] minimises the rows one layer computes when each
+    distinct prefix runs once, U_p * p + batch * (seq - p). Ties go to the
+    shorter prefix, so a batch of one, or one whose rows share no prefix,
+    gets p = 0.
+    """
+    batch, seq = ids.shape
+    order = np.lexsort(ids.T[::-1])
+    rows = ids[order]
+    differs = rows[1:] != rows[:-1]
+    # first column where each row differs from the row sorted before it
+    first = np.where(differs.any(axis=1), differs.argmax(axis=1), seq)
+    lengths = np.arange(seq)
+    distinct = 1 + (first < lengths[:, None]).sum(axis=1)
+    p = int(np.argmin(distinct * lengths + batch * (seq - lengths)))
+    starts = np.ones(batch, dtype=bool)
+    starts[1:] = first < p
+    group = np.empty(batch, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return p, rows[starts, :p], group
+
+
 def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     """Decoded beliefs p_i = softmax(C(h_i)) at the answer position after
     every recurrence step i = 1..k, as a (k, batch, vocab) float64 block.
@@ -206,6 +235,15 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     float64, so every row sums to 1 to full precision. The last coda layer
     runs its query, MLP, final norm and LM head only at the answer row. A
     smaller k yields an exact prefix of a larger k (steps are pure).
+
+    Attention is causal and positions are absolute, so rows that start with
+    the same tokens hold the same states there at every layer and step.
+    `shared_prefix` picks the prefix length p that minimises the rows
+    computed; each distinct prefix runs once, and every row runs only its
+    positions p.. over its prefix's keys and values. The split depends only
+    on the tokens, and the beliefs do not depend on it beyond the rounding
+    of the weights' dtype. With p = 0 (one row, or no shared prefix) the
+    prefix half is skipped.
     """
     cfg = params.config
     if k < 1:
@@ -214,29 +252,52 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
         raise ValueError(f"k {k} exceeds k_max {cfg.k_max}")
     ids = _check_tokens(tokens, cfg)
     batch, seq = ids.shape
+    p_len, prefixes, group = shared_prefix(ids)
     emb = params.embedding.data
     dtype, d = emb.dtype, cfg.d_model
-    buf = Buffers(batch, seq, seq, d, cfg.d_mlp, cfg.n_heads, dtype)
+
+    def part(rows, start, n_k):
+        """Embedded state of `rows` at positions start.., with its key and
+        query buffers over n_k keys."""
+        n, n_x = rows.shape
+        h = np.take(emb, rows.reshape(-1), axis=0)
+        h.reshape(n, n_x, d)[...] += params.pos.data[start:start + n_x]
+        return (h, KeyBuffers(n, n_x, n_k, d, dtype),
+                Buffers(n, n_x, n_k, d, cfg.d_mlp, cfg.n_heads, dtype))
+
+    pre_h, pre_keys, pre = part(prefixes, 0, p_len)
+    h, keys, buf = part(ids[:, p_len:], p_len, seq)
     ans = Buffers(batch, 1, seq, d, cfg.d_mlp, cfg.n_heads, dtype)
 
-    h = np.take(emb, ids.reshape(-1), axis=0)
-    h.reshape(batch, seq, d)[...] += params.pos.data[:seq]
+    def block(layer, pre_h, h, out=None):
+        """One layer over the prefixes and then the rows' own positions.
+        With `out`, the rows are queried at their answer position only (into
+        out), and the prefixes are needed only for their keys and values."""
+        if p_len:
+            if out is None:
+                layer_forward(pre_h, layer, pre_keys, pre)
+            else:
+                keys_values(pre_h, layer, pre_keys)
+            keys.kv[:, :p_len] = pre_keys.kv[group]
+        layer_forward(h, layer, keys, buf if out is None else ans, out)
+
     for layer in params.prelude:
-        layer_forward_inplace(h, layer, buf)
-    if not np.all(np.isfinite(h)):
+        block(layer, pre_h, h)
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(pre_h))):
         raise NumericError("prelude produced non-finite activations")
 
-    coda = np.empty_like(h)
+    coda_pre, coda = np.empty_like(pre_h), np.empty_like(h)
     top = np.empty((batch, d), dtype)
     logits = np.empty((batch, cfg.vocab_size), dtype)
     probs = np.empty((k, batch, cfg.vocab_size))
     for i in range(k):
         for layer in params.recurrent:
-            layer_forward_inplace(h, layer, buf)
+            block(layer, pre_h, h)
+        np.copyto(coda_pre, pre_h)
         np.copyto(coda, h)
         for layer in params.coda[:-1]:
-            layer_forward_inplace(coda, layer, buf)
-        answer_layer_forward(coda, params.coda[-1], buf, ans, top)
+            block(layer, coda_pre, coda)
+        block(params.coda[-1], coda_pre, coda, out=top)
         layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
                         ans.ln, ans.proj, ans.stat)
         np.matmul(ans.ln, emb.T, out=logits)

@@ -279,19 +279,25 @@ def stage_trace(config: ExperimentConfig, world, bench, params,
 def entropy_curves(trajectories, level: float = 0.95) -> dict:
     """Per-variant mean full-vocabulary entropy per step with a normal CI
     band (mean +- z * standard error), z the two-sided normal quantile of
-    `level`."""
+    `level`. The mean is over every trajectory. The standard error is over
+    per-stem mean curves, because the option orderings of one stem are
+    replicates of one question, not independent draws."""
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     z = NormalDist().inv_cdf((1 + level) / 2)
     curves = {}
     by_variant = {}
     for t in trajectories:
-        by_variant.setdefault(t.variant, []).append(t.full_entropy)
-    for variant, ents in sorted(by_variant.items()):
-        stack = np.stack(ents)
-        mean = stack.mean(axis=0)
-        se = (stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
-              if stack.shape[0] > 1 else np.zeros_like(mean))
+        by_variant.setdefault(t.variant, []).append(t)
+    for variant, trajs in sorted(by_variant.items()):
+        mean = np.stack([t.full_entropy for t in trajs]).mean(axis=0)
+        stems = {}
+        for t in trajs:
+            stems.setdefault(t.item_id, []).append(t.full_entropy)
+        stem_means = np.stack([np.mean(ents, axis=0)
+                               for ents in stems.values()])
+        se = (stem_means.std(axis=0, ddof=1) / np.sqrt(len(stem_means))
+              if len(stem_means) > 1 else np.zeros_like(mean))
         curves[variant] = (mean, mean - z * se, mean + z * se)
     return curves
 

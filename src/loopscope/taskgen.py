@@ -314,10 +314,6 @@ class Benchmark:
         seed = derive_seed(self.seed, "perm", item.item_id, item.variant)
         return permute_options(item, seed, self.n_permutations)
 
-    def all_permuted(self):
-        for item in self.items:
-            yield from self.permutations_for(item)
-
 
 def generate_benchmark(world: SyntheticWorld, n_stems: int, seed: int,
                        two_hop_fraction: float = 0.5,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopscope.autograd import ShapeError
 from loopscope.model import (
     LoopedConfig,
     answer_logits,
@@ -10,7 +11,10 @@ from loopscope.model import (
     prelude_forward,
     recurrent_step,
     run_deliberation,
+    shared_prefix,
 )
+from loopscope.pipeline import ExperimentConfig, stage_gen_bench
+from loopscope.taskgen import render_tokens
 from tests.test_layers import naive_layer_forward
 
 CFG = LoopedConfig(vocab_size=20, d_model=16, n_heads=2, max_seq=8, k_max=10)
@@ -203,33 +207,105 @@ def test_deliberate_matches_taped_forward_at_every_step(batch, seq):
     assert np.abs(np.diff(got, axis=0)).max() > 1e-3
 
 
+def stems_batch(seed, sizes, seq, shared):
+    """Rows of len(sizes) stems, sizes[i] rows each: every row of a stem
+    starts with the stem's `shared` tokens and goes on at random. The rows
+    are shuffled, so a stem's rows are not next to each other."""
+    rng = np.random.default_rng(seed)
+    rows = [np.concatenate([stem, rng.integers(0, KCFG.vocab_size,
+                                               seq - shared)])
+            for size in sizes
+            for stem in [rng.integers(0, KCFG.vocab_size, shared)]
+            for _ in range(size)]
+    return np.array(rows)[rng.permutation(sum(sizes))]
+
+
+def distinct_starts(n, seq):
+    """n random rows whose first tokens all differ."""
+    rng = np.random.default_rng(n)
+    rest = rng.integers(0, KCFG.vocab_size, size=(n, seq - 1))
+    return np.column_stack([np.arange(n), rest])
+
+
+SHARED_BATCHES = {
+    # name: (tokens, the prefix length the split must choose)
+    "shuffled-stems": (stems_batch(0, [3, 3, 3], KCFG.max_seq, 3), 3),
+    # all rows are copies of 3 rows: only the answer position is their own
+    "duplicate-rows": (np.repeat(stems_batch(1, [2, 1], KCFG.max_seq, 2),
+                                 [3, 1, 2], axis=0), KCFG.max_seq - 1),
+    "unequal-groups": (stems_batch(2, [1, 5, 2], KCFG.max_seq, 2), 2),
+    "shorter-than-max-seq": (stems_batch(3, [4, 3], KCFG.max_seq - 2, 2), 2),
+    "no-common-prefix": (distinct_starts(5, KCFG.max_seq), 0),
+    "batch-1": (stems_batch(4, [1], KCFG.max_seq, 3), 0),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_BATCHES)
+def test_deliberate_shared_prefix_matches_taped_forward(name):
+    tokens, want_p = SHARED_BATCHES[name]
+    p_len, prefixes, group = shared_prefix(tokens)
+    assert p_len == want_p
+    assert np.array_equal(prefixes[group], tokens[:, :p_len])
+    assert len(np.unique(prefixes, axis=0)) == len(prefixes)
+    params = moved_params()
+    got = deliberate(tokens, params, KCFG.k_max)
+    ref = taped_beliefs(tokens, params, KCFG.k_max)
+    assert got.shape == ref.shape == (KCFG.k_max, len(tokens), KCFG.vocab_size)
+    assert np.abs(got - ref).max() < 1e-12
+    assert np.abs(np.diff(got, axis=0)).max() > 1e-3
+
+
+def test_deliberate_empty_batch_and_empty_sequences():
+    params = moved_params()
+    empty = np.zeros((0, KCFG.max_seq), dtype=int)
+    assert deliberate(empty, params, 3).shape == (3, 0, KCFG.vocab_size)
+    for tokens in ([], np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ShapeError):
+            deliberate(tokens, params, 3)
+
+
+def test_benchmark_stem_renderings_share_their_first_four_positions(tmp_path):
+    config = ExperimentConfig(n_stems=3, holdout_stems=0, seed=0,
+                              output_dir=str(tmp_path))
+    world, bench = stage_gen_bench(config, write=False)
+    for stem in range(0, len(bench.items), 3):
+        tokens = np.array([world.encode(render_tokens(p))
+                           for item in bench.items[stem:stem + 3]
+                           for p in bench.permutations_for(item)])
+        assert len(tokens) == 24
+        p_len, prefixes, _ = shared_prefix(tokens)
+        assert (p_len, len(prefixes)) == (4, 1)
+
+
 def test_deliberate_shorter_k_is_an_exact_prefix():
     params = moved_params(np.float32)
-    tokens = np.random.default_rng(5).integers(0, KCFG.vocab_size, size=(4, 5))
-    full = deliberate(tokens, params, KCFG.k_max)
-    for k in (1, 3):
-        assert np.array_equal(deliberate(tokens, params, k), full[:k])
+    unshared = np.random.default_rng(5).integers(0, KCFG.vocab_size, size=(4, 5))
+    for tokens in (unshared, SHARED_BATCHES["shuffled-stems"][0]):
+        full = deliberate(tokens, params, KCFG.k_max)
+        for k in (1, 3):
+            assert np.array_equal(deliberate(tokens, params, k), full[:k])
 
 
 def test_deliberate_float32_model_keeps_float32_activations(monkeypatch):
     params = moved_params(np.float32)
-    tokens = np.random.default_rng(6).integers(0, KCFG.vocab_size, size=(2, 6))
-    seen = set()
-    matmul = np.matmul
+    unshared = np.random.default_rng(6).integers(0, KCFG.vocab_size, size=(2, 6))
+    for tokens in (unshared, SHARED_BATCHES["shuffled-stems"][0]):
+        seen = set()
+        matmul = np.matmul
 
-    def spy(*args, **kwargs):
-        out = matmul(*args, **kwargs)
-        seen.update(a.dtype for a in args)
-        seen.add(out.dtype)
-        return out
+        def spy(*args, **kwargs):
+            out = matmul(*args, **kwargs)
+            seen.update(a.dtype for a in args)
+            seen.add(out.dtype)
+            return out
 
-    monkeypatch.setattr(np, "matmul", spy)
-    got = deliberate(tokens, params, 3)
-    monkeypatch.undo()
-    assert seen == {np.dtype(np.float32)}
-    # the beliefs themselves are a float64 softmax of the float32 logits
-    assert got.dtype == np.float64
-    assert np.abs(got - deliberate(tokens, moved_params(), 3)).max() < 1e-4
+        monkeypatch.setattr(np, "matmul", spy)
+        got = deliberate(tokens, params, 3)
+        monkeypatch.undo()
+        assert seen == {np.dtype(np.float32)}
+        # the beliefs themselves are a float64 softmax of the float32 logits
+        assert got.dtype == np.float64
+        assert np.abs(got - deliberate(tokens, moved_params(), 3)).max() < 1e-4
 
 
 def test_bare_run_deliberation_leaves_grads_unset():

@@ -239,3 +239,18 @@ def test_entropy_curve_band_is_the_normal_quantile_of_level(level, z):
     assert np.allclose(mean - lo, z * se, rtol=1e-12)
     with pytest.raises(ValueError):
         entropy_curves(trajs, level=1.0)
+
+
+def test_entropy_curve_band_counts_stems_not_orderings():
+    # two stems with per-step entropies that differ between their orderings
+    trajs = [make_traj(stem, "Base", perm, [0, 0], correct=0, final_entropy=e)
+             for stem, ents in (("q0", (1.0, 2.0)), ("q1", (4.0, 6.0)))
+             for perm, e in enumerate(ents)]
+    mean, lo, hi = entropy_curves(trajs)["Base"]
+    # stem means 1.5 and 5.0: standard error |5.0 - 1.5| / 2
+    assert np.allclose(mean, 3.25)
+    assert np.allclose(hi - mean, 1.959963984540054 * 1.75, rtol=1e-12)
+    # eight times as many orderings of the same stems: same mean, same band
+    repeated = [t for t in trajs for _ in range(8)]
+    for got, want in zip(entropy_curves(repeated)["Base"], (mean, lo, hi)):
+        assert np.allclose(got, want, rtol=1e-12)
