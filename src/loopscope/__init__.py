@@ -6,24 +6,15 @@ step, and analyze the resulting deliberation trajectories: exploration
 phases, backtracking events, and what kinds of answers get abandoned.
 """
 
-from .autograd import (
-    GraphError,
-    NumericError,
-    ShapeError,
-    Tensor2,
-    finite_diff_check,
-    no_grad,
-)
+from .autograd import NumericError, ShapeError, Tensor2, finite_diff_check
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .metrics import (
     BacktrackEvent,
     BeliefTrajectory,
-    BootstrapCI,
     Stat,
     aggregate_stats,
     belief_trajectory,
     bootstrap_ci,
-    bootstrap_diff_ci,
     detect_backtracks,
     entropy,
     exploration_end,
@@ -33,14 +24,11 @@ from .metrics import (
     write_trajectories_jsonl,
 )
 from .model import (
-    HiddenState,
     LoopedConfig,
     LoopedModelParams,
     StepDistribution,
     deliberate,
     init_params,
-    prelude_forward,
-    recurrent_step,
     run_deliberation,
 )
 from .pipeline import (

@@ -12,8 +12,7 @@ import struct
 
 import numpy as np
 
-from .autograd import Tensor2
-from .model import LoopedConfig, LoopedModelParams, init_params
+from .model import LoopedConfig, LoopedModelParams, expected_param_count, init_params
 
 MAGIC = b"LPSCCKPT"
 FORMAT_VERSION = 1
@@ -47,6 +46,12 @@ def save_checkpoint(params: LoopedModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> LoopedModelParams:
+    """Read a checkpoint; any malformed content raises CheckpointError.
+
+    The manifest must list every tensor of the header's config once, with
+    its shape, and the entries must tile the blob in order: each starts
+    where the one before it ends, and the last ends at the end of the file.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(MAGIC) + 8 or raw[:len(MAGIC)] != MAGIC:
@@ -56,27 +61,47 @@ def load_checkpoint(path) -> LoopedModelParams:
     try:
         header = json.loads(raw[pos:pos + hlen])
         manifest = json.loads(raw[pos + hlen:pos + hlen + mlen])
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise CheckpointError(f"corrupt header/manifest: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"format version {header.get('format_version')} != {FORMAT_VERSION}")
-    config = LoopedConfig.from_dict(header["config"])
+    try:
+        config = LoopedConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"header config rejected: {e!r}") from e
     blob = raw[pos + hlen + mlen:]
+    if len(blob) != 4 * expected_param_count(config):
+        raise CheckpointError(
+            f"weight blob holds {len(blob)} bytes, the config needs "
+            f"{4 * expected_param_count(config)}")
+    if not isinstance(manifest, list) or not all(
+            isinstance(e, dict) and {"name", "offset", "shape"} <= e.keys()
+            for e in manifest):
+        raise CheckpointError(
+            "corrupt manifest: not a list of name/offset/shape entries")
 
     # instantiate with the right structure, then overwrite every tensor
     params = init_params(config, seed=0, dtype=np.float32)
     expected = dict(params.named_tensors())
-    if {e["name"] for e in manifest} != set(expected):
-        raise CheckpointError("manifest tensor names do not match config")
+    offset = 0
     for entry in manifest:
-        name, off, shape = entry["name"], entry["offset"], tuple(entry["shape"])
-        target = expected[name]
-        if shape != target.data.shape:
+        name, off, shape = entry["name"], entry["offset"], entry["shape"]
+        target = expected.pop(name, None) if isinstance(name, str) else None
+        if target is None:
+            raise CheckpointError(f"manifest entry {name!r} is not a tensor "
+                                  "of the config, or is listed twice")
+        if shape != list(target.data.shape):
             raise CheckpointError(f"shape mismatch for {name}: {shape}")
-        n = int(np.prod(shape))
-        chunk = blob[off * 4:(off + n) * 4]
-        if len(chunk) != n * 4:
-            raise CheckpointError(f"corrupt manifest: blob truncated at {name}")
-        target.data = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+        if type(off) is not int or off != offset:
+            raise CheckpointError(f"corrupt manifest: {name} at offset {off!r}, "
+                                  f"where the entry before it ends at {offset}")
+        n = target.data.size
+        target.data = np.frombuffer(blob[4 * off:4 * (off + n)],
+                                    dtype="<f4").reshape(target.data.shape).copy()
+        offset += n
+    if expected:
+        raise CheckpointError(f"manifest lacks {sorted(expected)}")
     return params

@@ -1,5 +1,5 @@
-"""Pre-norm transformer layers: a taped forward built on the autograd core,
-and a cache-free forward on raw arrays for inference."""
+"""Pre-norm transformer layers on raw arrays: one forward that training and
+inference share, and the backward of a full-sequence forward."""
 
 from __future__ import annotations
 
@@ -8,17 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autograd import (
-    GELU_COEF,
-    LN_EPS,
-    Tensor2,
-    ShapeError,
-    add,
-    attention,
-    gelu,
-    layer_norm,
-    matmul,
-)
+from .autograd import GELU_COEF, LN_EPS, ShapeError, Tensor2
 
 
 @dataclass
@@ -69,25 +59,6 @@ def init_layer(d_model: int, d_mlp: int, rng: np.random.Generator,
     )
 
 
-def transformer_layer_forward(state: Tensor2, params: LayerParams, n_heads: int,
-                              seq_len: int, causal: bool = True) -> Tensor2:
-    """One pre-norm residual block over a (batch*seq, d_model) state."""
-    d = state.cols
-    if params.w_qkv.shape != (d, 3 * d):
-        raise ShapeError(
-            f"layer built for d_model={params.w_qkv.rows}, state has d_model={d}"
-        )
-    a = attention(layer_norm(state, params.ln1_g, params.ln1_b),
-                  params.w_qkv, params.w_out, params.b_out,
-                  n_heads=n_heads, seq_len=seq_len, causal=causal)
-    state = state + a
-    h = layer_norm(state, params.ln2_g, params.ln2_b)
-    h = add(matmul(h, params.w_mlp1), params.b_mlp1)
-    h = gelu(h)
-    h = add(matmul(h, params.w_mlp2), params.b_mlp2)
-    return state + h
-
-
 def layer_param_count(d_model: int, d_mlp: int) -> int:
     """Closed-form parameter count of one block."""
     return (
@@ -99,18 +70,19 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
     )
 
 
-# -- cache-free inference forward -----------------------------------------------
+# -- forward --------------------------------------------------------------------
 #
-# The same block as transformer_layer_forward, on raw arrays and in place: no
-# graph, no cache, and every temporary lives in buffers allocated once per
-# forward pass. Each operation matches the taped op's arithmetic in the same
-# order, so a float64 model agrees with the tape to rounding.
+# The block on raw arrays: every temporary lives in buffers that the caller
+# allocates. Inference reuses one set of buffers for every layer and step.
+# Training gives each layer application its own set, and those buffers are
+# the cache that layer_backward reads.
 #
 # One call runs the block for `batch` sequences of n_k positions. It holds the
 # states x of each sequence's last n_x positions and queries the last n_q of
 # them (n_q <= n_x <= n_k). The keys and values of the first n_k - n_x
 # positions are the caller's to put into KeyBuffers.kv: a prefix that many
-# sequences share is computed once and gathered there.
+# sequences share is computed once and gathered there. Training runs whole
+# sequences, n_q = n_x = n_k.
 
 
 class KeyBuffers:
@@ -136,11 +108,16 @@ class Buffers:
         dh = d_model // n_heads
         self.shape = (batch, n_q, n_heads, dh)
         self.q = np.empty((rows, d_model), dtype)
+        self.mid = np.empty((rows, d_model), dtype)     # state after attention
         self.ln = np.empty((rows, d_model), dtype)      # normed MLP input
         self.proj = np.empty((rows, d_model), dtype)    # sublayer output
         self.stat = np.empty((rows, 1), dtype)          # per-row mean, variance
-        self.hidden = np.empty((rows, d_mlp), dtype)
-        self.tmp = np.empty((rows, d_mlp), dtype)
+        self.hidden = np.empty((rows, d_mlp), dtype)    # GELU input
+        self.tmp = np.empty((rows, d_mlp), dtype)       # 1 + tanh
+        # GELU's tanh and output overwrite tmp and its input; a layer cache
+        # gives them their own arrays (see stack_forward)
+        self.t = self.tmp
+        self.act = self.hidden
         self.scores = np.empty((batch, n_heads, n_q, n_k), dtype)
         self.smax = np.empty((batch, n_heads, n_q, 1), dtype)
         self.ctx = np.empty((rows, d_model), dtype)     # (batch, n_q, heads, dh)
@@ -156,8 +133,8 @@ class Buffers:
         return block.reshape(batch, n_pos, n_heads, dh).transpose(0, 2, 1, 3)
 
 
-def layer_norm_into(x, gain, bias, out, scratch, stat) -> None:
-    """out = gain * (x - mean) / sqrt(var + eps) + bias, row-wise."""
+def _normalize(x, out, scratch, stat) -> None:
+    """out = (x - mean) / sqrt(var + eps) row-wise, with stat = 1/sqrt(var + eps)."""
     n = x.shape[1]
     # np.mean's arithmetic (sum, then divide) without its Python wrapper
     np.add.reduce(x, axis=1, keepdims=True, out=stat)
@@ -170,6 +147,11 @@ def layer_norm_into(x, gain, bias, out, scratch, stat) -> None:
     np.sqrt(stat, out=stat)
     np.divide(1.0, stat, out=stat)
     out *= stat
+
+
+def layer_norm_into(x, gain, bias, out, scratch, stat) -> None:
+    """out = gain * (x - mean) / sqrt(var + eps) + bias, row-wise."""
+    _normalize(x, out, scratch, stat)
     out *= gain
     out += bias
 
@@ -177,17 +159,19 @@ def layer_norm_into(x, gain, bias, out, scratch, stat) -> None:
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_inplace(x, tmp) -> None:
-    """Tanh-form GELU (Hendrycks & Gimpel 2016): x <- x/2 (1 + tanh(c (x + a x^3)))."""
+def _gelu(x, t, tmp, out) -> None:
+    """Tanh-form GELU (Hendrycks & Gimpel 2016) of x into out:
+    out = x/2 (1 + t), with t = tanh(c (x + a x^3)) left in t. t may be
+    tmp, and out may be x."""
     np.multiply(x, x, out=tmp)
     tmp *= x
     tmp *= GELU_COEF
     tmp += x
     tmp *= _SQRT_2_OVER_PI
-    np.tanh(tmp, out=tmp)
-    tmp += 1.0
-    x *= 0.5
-    x *= tmp
+    np.tanh(tmp, out=t)
+    np.add(t, 1.0, out=tmp)
+    np.multiply(x, 0.5, out=out)
+    out *= tmp
 
 
 def _attend(q, k, v, buf: Buffers) -> np.ndarray:
@@ -204,17 +188,6 @@ def _attend(q, k, v, buf: Buffers) -> np.ndarray:
     buf.scores /= buf.smax
     np.matmul(buf.scores, v, out=buf.heads(buf.ctx, buf.shape[1]))
     return buf.ctx
-
-
-def _mlp_residual(x, p: LayerParams, buf: Buffers) -> None:
-    """x <- x + W2 gelu(LN2(x) W1 + b1) + b2."""
-    layer_norm_into(x, p.ln2_g.data, p.ln2_b.data, buf.ln, buf.proj, buf.stat)
-    np.matmul(buf.ln, p.w_mlp1.data, out=buf.hidden)
-    buf.hidden += p.b_mlp1.data
-    _gelu_inplace(buf.hidden, buf.tmp)
-    np.matmul(buf.hidden, p.w_mlp2.data, out=buf.proj)
-    buf.proj += p.b_mlp2.data
-    x += buf.proj
 
 
 def _last(rows: np.ndarray, batch: int, n_x: int, n_q: int) -> np.ndarray:
@@ -241,8 +214,11 @@ def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
     (batch*n_x, d_model) state of the last n_x positions. With `out` None,
     n_q = n_x and x is updated in place; otherwise x is left unchanged and
     the (batch*n_q, d_model) result is written to `out`."""
-    keys_values(x, p, keys)
     d, n_x = x.shape[1], keys.n_x
+    if p.w_qkv.data.shape != (d, 3 * d):
+        raise ShapeError(f"layer built for d_model={p.w_qkv.data.shape[0]}, "
+                         f"state has d_model={d}")
+    keys_values(x, p, keys)
     batch, n_q = buf.shape[:2]
     n_k = keys.kv.shape[1]
     np.matmul(_last(keys.ln, batch, n_x, n_q), p.w_qkv.data[:, :d], out=buf.q)
@@ -250,7 +226,108 @@ def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
     np.matmul(_attend(buf.heads(buf.q, n_q), k, v, buf), p.w_out.data,
               out=buf.proj)
     buf.proj += p.b_out.data
-    if out is None:
-        out = x
-    np.add(_last(x, batch, n_x, n_q), buf.proj, out=out)
-    _mlp_residual(out, p, buf)
+    np.add(_last(x, batch, n_x, n_q), buf.proj, out=buf.mid)
+    # MLP sublayer: W2 gelu(LN2(mid) W1 + b1) + b2
+    layer_norm_into(buf.mid, p.ln2_g.data, p.ln2_b.data, buf.ln, buf.proj,
+                    buf.stat)
+    np.matmul(buf.ln, p.w_mlp1.data, out=buf.hidden)
+    buf.hidden += p.b_mlp1.data
+    _gelu(buf.hidden, buf.t, buf.tmp, buf.act)
+    np.matmul(buf.act, p.w_mlp2.data, out=buf.proj)
+    buf.proj += p.b_mlp2.data
+    np.add(buf.mid, buf.proj, out=x if out is None else out)
+
+
+# -- backward -------------------------------------------------------------------
+#
+# Where a state feeds both a residual skip and a layernorm, its gradient is
+# the skip's gradient with the layernorm branch's added to it. Each weight
+# adds its gradient into .grad, so a weight that several layer applications
+# share sums their gradients in the order the backward visits them. Products
+# are spelled np.matmul, not @, so a test can watch every operand's dtype.
+
+
+def layer_norm_backward(x, gain: Tensor2, bias: Tensor2, g) -> np.ndarray:
+    """Gradient with respect to x of layer_norm(x) given g, the gradient
+    with respect to its output. Adds the affine's gradients into gain.grad
+    and bias.grad. x-hat is recomputed from x with the forward's ops."""
+    xhat, stat = np.empty_like(x), np.empty((x.shape[0], 1), x.dtype)
+    _normalize(x, xhat, np.empty_like(x), stat)
+    gdy = g * gain.data
+    dx = stat * (gdy - gdy.mean(axis=1, keepdims=True)
+                 - xhat * (gdy * xhat).mean(axis=1, keepdims=True))
+    gain.add_grad((g * xhat).sum(axis=0, keepdims=True))
+    bias.add_grad(g.sum(axis=0, keepdims=True))
+    return dx
+
+
+def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
+                   keys: KeyBuffers, buf: Buffers) -> np.ndarray:
+    """Backward of the whole-sequence layer_forward(x, p, keys, buf, out)
+    (n_q = n_x = n_k): returns the gradient with respect to x given dout,
+    the gradient with respect to out, and adds each weight's gradient into
+    its .grad. keys and buf must still hold that forward's values."""
+    batch, seq, n_heads, dh = buf.shape
+    # MLP sublayer
+    dmid = dout.copy()
+    p.b_mlp2.add_grad(dout.sum(axis=0, keepdims=True))
+    dact = np.matmul(dout, p.w_mlp2.data.T)
+    p.w_mlp2.add_grad(np.matmul(buf.act.T, dout))
+    h, t = buf.hidden, buf.t
+    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * (h * h))
+    dh1 = dact * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
+    p.b_mlp1.add_grad(dh1.sum(axis=0, keepdims=True))
+    dln = np.matmul(dh1, p.w_mlp1.data.T)
+    p.w_mlp1.add_grad(np.matmul(buf.ln.T, dh1))
+    dmid += layer_norm_backward(buf.mid, p.ln2_g, p.ln2_b, dln)
+
+    # attention sublayer
+    dx = dmid.copy()
+    p.w_out.add_grad(np.matmul(buf.ctx.T, dmid))
+    p.b_out.add_grad(dmid.sum(axis=0, keepdims=True))
+    dctx = buf.heads(np.matmul(dmid, p.w_out.data.T), seq)
+    d = x.shape[1]
+    q = buf.heads(buf.q, seq)
+    k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], seq) for i in range(2))
+    w = buf.scores
+    dw = np.matmul(dctx, v.swapaxes(2, 3))
+    dv = np.matmul(w.swapaxes(2, 3), dctx)
+    dscores = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+    inv_sqrt = 1.0 / math.sqrt(dh)
+    dq = np.matmul(dscores, k) * inv_sqrt
+    dk = np.matmul(dscores.swapaxes(2, 3), q) * inv_sqrt
+
+    def flat(block):
+        return block.transpose(0, 2, 1, 3).reshape(batch * seq, d)
+
+    dqkv = np.concatenate([flat(dq), flat(dk), flat(dv)], axis=1)
+    dln = np.matmul(dqkv, p.w_qkv.data.T)
+    p.w_qkv.add_grad(np.matmul(keys.ln.T, dqkv))
+    dx += layer_norm_backward(x, p.ln1_g, p.ln1_b, dln)
+    return dx
+
+
+def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int):
+    """Whole-sequence layer_forward of (batch*seq, d_model) rows through
+    `layers`, each layer application with its own buffers. Returns the
+    states (the input first, the output last) and the per-layer caches that
+    stack_backward reads."""
+    rows, d = x.shape
+    states, caches = [x], []
+    for p in layers:
+        keys = KeyBuffers(rows // seq, seq, seq, d, x.dtype)
+        buf = Buffers(rows // seq, seq, seq, d, p.w_mlp1.data.shape[1],
+                      n_heads, x.dtype)
+        buf.t, buf.act = np.empty_like(buf.tmp), np.empty_like(buf.hidden)
+        states.append(np.empty_like(x))
+        layer_forward(states[-2], p, keys, buf, states[-1])
+        caches.append((p, keys, buf))
+    return states, caches
+
+
+def stack_backward(dout: np.ndarray, states, caches) -> np.ndarray:
+    """Gradient with respect to the input of stack_forward, given dout with
+    respect to its output; each weight's gradient goes into its .grad."""
+    for x, (p, keys, buf) in zip(reversed(states[:-1]), reversed(caches)):
+        dout = layer_backward(dout, x, p, keys, buf)
+    return dout

@@ -183,12 +183,14 @@ def belief_trajectory(step_dists, option_token_ids, item_id: str = "",
 
 
 @dataclass
-class BootstrapCI:
-    point: float
-    lower: float
-    upper: float
-    level: float = 0.95
-    n_resamples: int = 10000
+class Stat:
+    """A point estimate with its bootstrap CI; n counts the values behind it."""
+
+    value: float
+    ci_low: float
+    ci_high: float
+    n: int
+    note: str = ""
 
 
 def _as_sample(values) -> np.ndarray:
@@ -226,19 +228,19 @@ def _resampled_means(values: np.ndarray, groups, n_resamples: int,
     return means
 
 
-def _percentile_ci(point, resamples: np.ndarray, level: float,
-                   n_resamples: int) -> BootstrapCI:
+def _percentile_ci(point, resamples: np.ndarray, level: float, n: int,
+                   note: str = "") -> Stat:
     alpha = (1.0 - level) / 2.0
     with np.errstate(invalid="ignore"):
         bounds = np.quantile(resamples, [alpha, 1.0 - alpha])
     # interpolating between two +inf resamples gives nan; the bound is +inf
     lo, hi = np.where(np.isnan(bounds), np.inf, bounds)
-    return BootstrapCI(point=float(point), lower=float(lo), upper=float(hi),
-                       level=level, n_resamples=n_resamples)
+    return Stat(value=float(point), ci_low=float(lo), ci_high=float(hi), n=n,
+                note=note)
 
 
 def bootstrap_ci(values, n_resamples: int = 10000, level: float = 0.95,
-                 seed: int = 0, groups=None) -> BootstrapCI:
+                 seed: int = 0, groups=None) -> Stat:
     """Percentile bootstrap CI of the mean; deterministic given seed.
 
     `groups` gives the cluster (e.g. the stem) of each value; resampling
@@ -247,84 +249,33 @@ def bootstrap_ci(values, n_resamples: int = 10000, level: float = 0.95,
     vals = _as_sample(values)
     means = _resampled_means(vals, groups, n_resamples,
                              np.random.default_rng(seed))
-    return _percentile_ci(vals.mean(), means, level, n_resamples)
-
-
-def _two_sample_means(a, b, groups_a, groups_b, n_resamples: int, seed: int):
-    """Both samples and their resampled means. Each side is resampled on its
-    own (unpaired), a first, from one seeded stream."""
-    va, vb = _as_sample(a), _as_sample(b)
-    rng = np.random.default_rng(seed)
-    return (va, vb, _resampled_means(va, groups_a, n_resamples, rng),
-            _resampled_means(vb, groups_b, n_resamples, rng))
-
-
-def bootstrap_diff_ci(a, b, n_resamples: int = 10000, level: float = 0.95,
-                      seed: int = 0) -> BootstrapCI:
-    """Percentile bootstrap CI of mean(a) - mean(b), unpaired."""
-    va, vb, ma, mb = _two_sample_means(a, b, None, None, n_resamples, seed)
-    return _percentile_ci(va.mean() - vb.mean(), ma - mb, level, n_resamples)
+    return _percentile_ci(vals.mean(), means, level, vals.size)
 
 
 # -- similarity attribution --------------------------------------------------
 
 
-def cosine(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise ValueError("cosine of a zero vector")
-    return float(u @ v / (nu * nv))
-
-
 CORRECT = "CORRECT"
 
 
-def similarity_rank(item, abandoned: int, mode: str = "constructed",
-                    params=None, world=None):
+def similarity_rank(item, abandoned: int):
     """Rank of the abandoned option among the item's distractors (1 = most
-    similar to the stem); CORRECT when the abandoned option is the correct
-    answer. `item` is anything exposing options / similarities /
-    correct_index / stem order (QuestionItem or PermutedItem)."""
+    similar to the stem, by the item's constructed similarities); CORRECT
+    when the abandoned option is the correct answer. `item` is anything
+    exposing options / similarities / correct_index (QuestionItem,
+    PermutedItem or BeliefTrajectory)."""
     if abandoned not in range(4):
         raise ValueError("abandoned option index must be in 0..3")
     if item.correct_index is not None and abandoned == item.correct_index:
         return CORRECT
     distractors = [i for i in range(4) if i != item.correct_index]
-    if mode == "constructed":
-        scores = {i: item.similarities[i] for i in distractors}
-    elif mode == "embedding":
-        if params is None or world is None:
-            raise ValueError("embedding mode needs trained params and a world")
-        stem = item.item.stem_tokens if hasattr(item, "item") else item.stem_tokens
-        stem_vec = params.embedding.data[world.encode(stem)].mean(axis=0)
-        scores = {
-            i: cosine(stem_vec,
-                      params.embedding.data[world.token_to_id[item.options[i]]])
-            for i in distractors}
-    else:
-        raise ValueError(f"unknown similarity mode {mode!r}")
+    scores = {i: item.similarities[i] for i in distractors}
     # descending score, ties toward the lower option index
     ordered = sorted(distractors, key=lambda i: (-scores[i], i))
     return ordered.index(abandoned) + 1
 
 
 # -- aggregation -------------------------------------------------------------
-
-
-@dataclass
-class Stat:
-    value: float
-    ci_low: float
-    ci_high: float
-    n: int
-    note: str = ""
-
-
-def _stat(ci: BootstrapCI, n: int, note: str = "") -> Stat:
-    return Stat(value=ci.point, ci_low=ci.lower, ci_high=ci.upper, n=n,
-                note=note)
 
 
 def aggregate_stats(trajectories, tol: float = 0.01, window: int = 3,
@@ -356,9 +307,8 @@ def aggregate_stats(trajectories, tol: float = 0.01, window: int = 3,
         if not sample:
             return None
         stems, values = zip(*sample)
-        return _stat(bootstrap_ci(values, n_resamples=n_resamples,
-                                  level=level, seed=stat_seed(name),
-                                  groups=stems), len(sample))
+        return bootstrap_ci(values, n_resamples=n_resamples, level=level,
+                            seed=stat_seed(name), groups=stems)
 
     def diff(name, a, b, relative=False, note=""):
         """mean(a) - mean(b), or mean(a) / mean(b) - 1 when relative; None
@@ -367,9 +317,12 @@ def aggregate_stats(trajectories, tol: float = 0.01, window: int = 3,
         if not a or not b:
             return None
         (stems_a, values_a), (stems_b, values_b) = zip(*a), zip(*b)
-        va, vb, ma, mb = _two_sample_means(values_a, values_b, stems_a,
-                                           stems_b, n_resamples,
-                                           stat_seed(name))
+        va, vb = _as_sample(values_a), _as_sample(values_b)
+        # each side is resampled on its own (unpaired), a first, from one
+        # seeded stream
+        rng = np.random.default_rng(stat_seed(name))
+        ma = _resampled_means(va, stems_a, n_resamples, rng)
+        mb = _resampled_means(vb, stems_b, n_resamples, rng)
         if not relative:
             point, resamples = va.mean() - vb.mean(), ma - mb
         elif vb.mean() > 0:
@@ -378,8 +331,8 @@ def aggregate_stats(trajectories, tol: float = 0.01, window: int = 3,
                                   where=mb > 0) - 1.0
         else:
             return None
-        return _stat(_percentile_ci(point, resamples, level, n_resamples),
-                     va.size + vb.size, note)
+        return _percentile_ci(point, resamples, level, va.size + vb.size,
+                              note)
 
     summary = {}
     events_by_variant = {}

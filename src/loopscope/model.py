@@ -11,17 +11,18 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autograd import Tensor2, NumericError, ShapeError, layer_norm, matmul_nt, take_rows
+from .autograd import NumericError, ShapeError, Tensor2
 from .layers import (
     Buffers,
     KeyBuffers,
-    LayerParams,
     init_layer,
     keys_values,
     layer_forward,
+    layer_norm_backward,
     layer_norm_into,
     layer_param_count,
-    transformer_layer_forward,
+    stack_backward,
+    stack_forward,
 )
 
 
@@ -83,16 +84,6 @@ class LoopedModelParams:
 
     def n_params(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
-
-
-@dataclass
-class HiddenState:
-    """Recurrence state: (batch*seq, d_model) activations at step i."""
-
-    h: Tensor2
-    step: int
-    seq_len: int
-    batch: int
 
 
 @dataclass
@@ -161,42 +152,69 @@ def _check_tokens(tokens, config: LoopedConfig) -> np.ndarray:
     return arr.astype(np.intp)
 
 
-def prelude_forward(tokens, params: LoopedModelParams) -> HiddenState:
-    """Embed tokens (plus learned positions) and run the prelude stack: h_0."""
+def cross_entropy(logits: np.ndarray, targets):
+    """Mean cross-entropy of row logits against integer targets, and its
+    gradient with respect to the logits, in the logits' dtype."""
+    n, vocab = logits.shape
+    targets = np.asarray(targets, dtype=np.intp)
+    if targets.shape != (n,):
+        raise ShapeError("one target per logit row required")
+    if n and (targets.min() < 0 or targets.max() >= vocab):
+        raise ValueError("target id out of vocabulary range")
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(n)
+    loss = -logp[rows, targets].mean()
+    dlogits = np.exp(logp)
+    dlogits[rows, targets] -= 1.0
+    dlogits *= logits.dtype.type(1.0) / n
+    return loss, dlogits
+
+
+def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int) -> float:
+    """Training loss at recurrence depth k, with its full backward.
+
+    Runs embed -> prelude -> k recurrent steps -> coda -> final norm -> tied
+    LM head at the last position of each sequence, and returns the mean
+    cross-entropy against `targets`. Every weight's gradient is added into
+    its .grad, through all k steps (full unroll, no truncation). Each layer
+    application keeps its own buffers, and a reverse loop over them is the
+    backward pass. Raises NumericError, before the backward, on a
+    non-finite loss."""
     cfg = params.config
+    if not 1 <= k <= cfg.k_max:
+        raise ValueError(f"recurrence depth k={k} must lie in 1..{cfg.k_max}")
     ids = _check_tokens(tokens, cfg)
     batch, seq = ids.shape
-    h = take_rows(params.embedding, ids.reshape(-1))
-    h = h + take_rows(params.pos, np.tile(np.arange(seq), batch))
-    for layer in params.prelude:
-        h = transformer_layer_forward(h, layer, cfg.n_heads, seq, causal=True)
-    if not np.all(np.isfinite(h.data)):
-        raise NumericError("prelude produced non-finite activations")
-    return HiddenState(h=h, step=0, seq_len=seq, batch=batch)
+    emb = params.embedding.data
+    h = np.take(emb, ids.reshape(-1), axis=0)
+    h.reshape(batch, seq, cfg.d_model)[...] += params.pos.data[:seq]
 
+    states, caches = stack_forward(
+        h, params.prelude + params.recurrent * k + params.coda, cfg.n_heads, seq)
+    top = states[-1]
+    normed, stat = np.empty_like(top), np.empty((len(top), 1), top.dtype)
+    layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
+                    normed, np.empty_like(top), stat)
+    last = np.arange(batch) * seq + (seq - 1)
+    answer = normed[last]
+    loss, dlogits = cross_entropy(np.matmul(answer, emb.T), targets)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss} at depth k={k}")
 
-def recurrent_step(state: HiddenState, params: LoopedModelParams) -> HiddenState:
-    """One application of the shared recurrent block: h_i = R(h_{i-1})."""
-    cfg = params.config
-    if state.step >= cfg.k_max:
-        raise ValueError(f"recurrence depth {state.step + 1} exceeds k_max {cfg.k_max}")
-    h = state.h
-    for layer in params.recurrent:
-        h = transformer_layer_forward(h, layer, cfg.n_heads, state.seq_len, causal=True)
-    return HiddenState(h=h, step=state.step + 1, seq_len=state.seq_len,
-                       batch=state.batch)
-
-
-def answer_logits(state: HiddenState, params: LoopedModelParams) -> Tensor2:
-    """Coda stack + final norm + tied LM head at the last position of each
-    sequence, on the autograd tape: the training loss reads it."""
-    cfg = params.config
-    h = state.h
-    for layer in params.coda:
-        h = transformer_layer_forward(h, layer, cfg.n_heads, state.seq_len, causal=True)
-    h = layer_norm(h, params.final_ln_g, params.final_ln_b)
-    last = np.arange(state.batch) * state.seq_len + (state.seq_len - 1)
-    return matmul_nt(take_rows(h, last), params.embedding)
+    dnormed = np.zeros_like(normed)
+    np.add.at(dnormed, last, np.matmul(dlogits, emb))
+    params.embedding.add_grad(np.matmul(dlogits.T, answer))
+    dh = layer_norm_backward(top, params.final_ln_g, params.final_ln_b, dnormed)
+    dh = stack_backward(dh, states, caches)
+    # the input's two row gathers scatter-add into zeros, then into .grad,
+    # where the embedding already holds the head's gradient
+    for weight, index in ((params.pos, np.tile(np.arange(seq), batch)),
+                          (params.embedding, ids.reshape(-1))):
+        grad = np.zeros_like(weight.data)
+        np.add.at(grad, index, dh)
+        weight.add_grad(grad)
+    return float(loss)
 
 
 def shared_prefix(ids: np.ndarray):
@@ -229,12 +247,12 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     """Decoded beliefs p_i = softmax(C(h_i)) at the answer position after
     every recurrence step i = 1..k, as a (k, batch, vocab) float64 block.
 
-    Cache-free inference on raw arrays: no autograd graph is built, and the
-    activation buffers are allocated once and reused by every layer and
-    step. It computes in the weights' dtype; the softmax is taken in
-    float64, so every row sums to 1 to full precision. The last coda layer
-    runs its query, MLP, final norm and LM head only at the answer row. A
-    smaller k yields an exact prefix of a larger k (steps are pure).
+    Inference keeps no cache for a backward: the activation buffers are
+    allocated once and reused by every layer and step. It computes in the
+    weights' dtype; the softmax is taken in float64, so every row sums to 1
+    to full precision. The last coda layer runs its query, MLP, final norm
+    and LM head only at the answer row. A smaller k yields an exact prefix
+    of a larger k (steps are pure).
 
     Attention is causal and positions are absolute, so rows that start with
     the same tokens hold the same states there at every layer and step.

@@ -127,7 +127,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(**d)
+        """Config from a dict; an unknown or mistyped field is a ValueError."""
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ValueError(str(e)) from e
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -466,7 +470,7 @@ def verify(output_dir) -> list:
         return [f"{MANIFEST_FILE}: \"files\" is not a map of file names to hashes"]
     try:
         config = ExperimentConfig.from_dict(manifest["config"])
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         return [f"{MANIFEST_FILE}: config rejected ({e})"]
     for name, digest in files.items():
         path = os.path.join(output_dir, name)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import NumericError, cross_entropy_logits
-from .model import LoopedModelParams, answer_logits, deliberate, prelude_forward, recurrent_step
+from .model import LoopedModelParams, deliberate, loss_and_grads
 from .taskgen import SyntheticWorld, render_tokens
 
 
@@ -31,7 +30,6 @@ class TrainConfig:
     warmup_steps: int = 100
     lr_decay: str = "none"        # "none" or "cosine" (to 10% of peak)
     seed: int = 0
-    precision: str = "float32"
 
     def __post_init__(self):
         self.depth_support = tuple(self.depth_support)
@@ -39,12 +37,6 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.lr_decay not in ("none", "cosine"):
             raise ValueError("lr_decay must be 'none' or 'cosine'")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError("precision must be float32 or float64")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "float32" else np.float64
 
     def resolved_support(self, k_max: int) -> tuple:
         support = self.depth_support or tuple(range(1, k_max + 1))
@@ -133,21 +125,12 @@ def train_step(params: LoopedModelParams, batch, k: int, optimizer: AdamW) -> fl
     """One optimizer update on a (tokens, targets) batch at recurrence depth k.
 
     Gradients flow through all k applications of the recurrent block
-    (full unroll, no truncation)."""
-    if k < 1:
-        raise ValueError("recurrence depth k must be >= 1")
+    (full unroll, no truncation); see `model.loss_and_grads`."""
     tokens, targets = batch
     optimizer.zero_grad()
-    state = prelude_forward(tokens, params)
-    for _ in range(k):
-        state = recurrent_step(state, params)
-    loss = cross_entropy_logits(answer_logits(state, params), targets)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite training loss {value} at depth k={k}")
-    loss.backward()
+    loss = loss_and_grads(tokens, targets, params, k)
     optimizer.step()
-    return value
+    return loss
 
 
 def encode_dataset(permuted_items, world: SyntheticWorld):

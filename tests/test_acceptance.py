@@ -17,10 +17,10 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from loopscope.autograd import Tensor2, cross_entropy_logits, finite_diff_check
+from loopscope.autograd import Tensor2, finite_diff_check
 from loopscope.checkpoint import load_checkpoint, save_checkpoint
 from loopscope.cli import main as cli_main
-from loopscope.layers import init_layer, transformer_layer_forward
+from loopscope.layers import init_layer, stack_backward, stack_forward
 from loopscope.metrics import (
     aggregate_stats,
     belief_trajectory,
@@ -32,10 +32,9 @@ from loopscope.metrics import (
 )
 from loopscope.model import (
     LoopedConfig,
-    answer_logits,
+    cross_entropy,
     init_params,
-    prelude_forward,
-    recurrent_step,
+    loss_and_grads,
     run_deliberation,
 )
 from loopscope.pipeline import ExperimentConfig, run_experiment, verify
@@ -95,14 +94,17 @@ def test_autodiff_soundness_two_layer_stack_and_unrolled_loop():
               for _ in range(2)]
     x = Tensor2(rng.normal(0, 1, (batch * seq, d)))
     targets = rng.integers(0, d, size=batch * seq)
+    weights = [t for lp in layers for _, t in lp.tensors()]
 
     def two_layer():
-        h = x
-        for lp in layers:
-            h = transformer_layer_forward(h, lp, n_heads=heads, seq_len=seq)
-        return cross_entropy_logits(h, targets)
+        for t in weights:
+            t.grad = None
+        states, caches = stack_forward(x.data, layers, n_heads=heads, seq=seq)
+        loss, dh = cross_entropy(states[-1], targets)
+        dx = stack_backward(dh, states, caches)
+        return loss, [dx] + [t.grad for t in weights]
 
-    tensors = [x] + [t for lp in layers for _, t in lp.tensors()]
+    tensors = [x] + weights
     err = finite_diff_check(two_layer, tensors, eps=1e-5, max_coords=4, seed=1)
     assert err <= 1e-4, f"two-layer stack gradcheck error {err}"
 
@@ -111,15 +113,14 @@ def test_autodiff_soundness_two_layer_stack_and_unrolled_loop():
     params = init_params(cfg, seed=2, dtype=np.float64)
     tokens = np.random.default_rng(3).integers(0, 12, size=(2, 5))
     tgt = np.random.default_rng(4).integers(0, 12, size=2)
+    tensors = [t for _, t in params.named_tensors()]
 
     def looped_k3():
-        state = prelude_forward(tokens, params)
-        for _ in range(3):
-            state = recurrent_step(state, params)
-        return cross_entropy_logits(answer_logits(state, params), tgt)
+        for t in tensors:
+            t.grad = None
+        return loss_and_grads(tokens, tgt, params, 3), [t.grad for t in tensors]
 
-    err = finite_diff_check(looped_k3, [t for _, t in params.named_tensors()],
-                            eps=1e-5, max_coords=3, seed=5)
+    err = finite_diff_check(looped_k3, tensors, eps=1e-5, max_coords=3, seed=5)
     assert err <= 1e-4, f"k=3 unrolled loop gradcheck error {err}"
     print("PASS autodiff soundness: gradcheck <= 1e-4 on 2-layer stack "
           "and k=3 unrolled loop")
@@ -251,12 +252,12 @@ def test_bootstrap_statistics():
     zero-width CI on constant input."""
     vals = np.random.default_rng(8).standard_normal(1000)
     ci = bootstrap_ci(vals, n_resamples=10000, seed=9)
-    width = ci.upper - ci.lower
+    width = ci.ci_high - ci.ci_low
     expected = 2 * 1.96 / math.sqrt(1000)
     rel = abs(width - expected) / expected
     assert rel <= 0.20, f"width {width:.4f} vs {expected:.4f} ({rel:.1%} off)"
     const = bootstrap_ci([2.5] * 40, seed=10)
-    assert const.lower == const.upper == const.point == 2.5
+    assert const.ci_low == const.ci_high == const.value == 2.5
     print(f"PASS bootstrap statistics: width {width:.4f} within "
           f"{rel:.1%} of closed-form {expected:.4f}; constant input -> "
           "zero-width CI")

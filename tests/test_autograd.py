@@ -1,161 +1,108 @@
 import numpy as np
 import pytest
 
-from loopscope.autograd import (
-    GraphError,
-    NumericError,
-    Tensor2,
-    attention,
-    cross_entropy_logits,
-    finite_diff_check,
-    gelu,
-    layer_norm,
-    matmul,
-    matmul_nt,
-    mul,
-    no_grad,
-    softmax_rows,
-    take_rows,
-    tsum,
-)
-
-
-def test_softmax_symmetry():
-    out = softmax_rows(Tensor2([[0.0, 0.0, 0.0, 0.0]]))
-    assert np.allclose(out.data, 0.25)
-
-
-def test_softmax_no_overflow():
-    out = softmax_rows(Tensor2([[1000.0, 0.0]]))
-    assert np.all(np.isfinite(out.data))
-    assert out.data[0, 0] == pytest.approx(1.0)
-    assert out.data[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_softmax_hand_value():
-    out = softmax_rows(Tensor2([[np.log(2.0), 0.0]]))
-    assert out.data[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert out.data[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_softmax_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        softmax_rows(Tensor2([[np.nan, 0.0]]))
-    with pytest.raises(NumericError):
-        softmax_rows(Tensor2([[np.inf, 0.0]]))
-
-
-def test_softmax_fuzz_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    scales = rng.choice([1e-3, 1.0, 1e3], size=1000)
-    rows = rng.normal(size=(1000, 7)) * scales[:, None]
-    p = softmax_rows(Tensor2(rows)).data
-    assert np.all(p >= 0)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
-    assert np.all(np.isfinite(p))
-
-
-def test_grad_sum_is_ones():
-    w = Tensor2(np.arange(6.0).reshape(2, 3))
-    tsum(w).backward()
-    assert np.array_equal(w.grad, np.ones((2, 3)))
-
-
-def test_grad_sum_of_squares_is_2w():
-    rng = np.random.default_rng(1)
-    w = Tensor2(rng.normal(size=(3, 4)))
-    tsum(mul(w, w)).backward()
-    assert np.allclose(w.grad, 2 * w.data)
-
-
-def test_backward_requires_scalar():
-    w = Tensor2(np.ones((2, 2)))
-    with pytest.raises(Exception):
-        mul(w, w).backward()
-
-
-def test_cycle_rejected():
-    a = Tensor2([[1.0]])
-    b = tsum(a)
-    b._parents = (b,)  # deliberately corrupt the graph
-    with pytest.raises(GraphError):
-        b.backward()
+from loopscope.autograd import Tensor2, finite_diff_check
+from loopscope.layers import layer_norm_backward, layer_norm_into
+from loopscope.model import LoopedConfig, cross_entropy, init_params, loss_and_grads
+from loopscope.training import AdamW, TrainConfig, train_step
 
 
 def test_finite_diff_square():
     w = Tensor2([[3.0]])
-    err = finite_diff_check(lambda: mul(w, w), [w], eps=1e-5)
+    err = finite_diff_check(lambda: (w.data[0, 0] ** 2, [2 * w.data]), [w],
+                            eps=1e-5)
     assert err <= 1e-8
 
 
 def test_finite_diff_linear_exact():
     w = Tensor2(np.arange(4.0).reshape(2, 2))
     for eps in (1e-6, 1e-3, 1e-1):
-        err = finite_diff_check(lambda: tsum(w), [w], eps=eps)
+        err = finite_diff_check(lambda: (w.data.sum(), [np.ones((2, 2))]),
+                                [w], eps=eps)
         assert err <= 1e-10
 
 
 def test_matmul_and_takerows_grads():
-    rng = np.random.default_rng(2)
-    a = Tensor2(rng.normal(size=(4, 3)))
-    b = Tensor2(rng.normal(size=(3, 5)))
+    """The embedding's two uses, the row gather at the input (token ids
+    repeat) and the tied head, with identity layers in between."""
+    config = LoopedConfig(vocab_size=7, d_model=4, n_heads=1, prelude_layers=1,
+                          recurrent_layers=1, coda_layers=1, max_seq=3, k_max=2)
+    params = init_params(config, seed=2, dtype=np.float64)
+    params.embedding.data *= 50.0
+    params.pos.data *= 50.0
+    for layer in params.prelude + params.recurrent + params.coda:
+        for name in ("w_out", "b_out", "w_mlp2", "b_mlp2"):
+            getattr(layer, name).data[...] = 0.0
+    weights = [params.embedding, params.pos]
 
     def f():
-        return tsum(take_rows(matmul(a, b), [0, 2, 2]))
+        for _, t in params.named_tensors():
+            t.grad = None
+        loss = loss_and_grads([[0, 2, 2], [2, 0, 5]], [1, 2], params, 1)
+        return loss, [t.grad for t in weights]
 
-    assert finite_diff_check(f, [a, b], eps=1e-6) <= 1e-7
+    assert finite_diff_check(f, weights, eps=1e-6) <= 1e-7
 
 
 def test_fused_ops_grads_match_finite_diff():
+    """layernorm, row gather, tied-head matmul and cross-entropy: the
+    backward of the model's final norm and LM head."""
     rng = np.random.default_rng(3)
     x = Tensor2(rng.normal(size=(6, 8)))
     g = Tensor2(rng.normal(size=(1, 8)))
     b = Tensor2(rng.normal(size=(1, 8)))
-    w_qkv = Tensor2(rng.normal(size=(8, 24)) * 0.3)
-    w_out = Tensor2(rng.normal(size=(8, 8)) * 0.3)
-    b_out = Tensor2(rng.normal(size=(1, 8)) * 0.1)
-    targets = [1, 3]
+    emb = Tensor2(rng.normal(size=(9, 8)))
+    rows, targets = [2, 5], [1, 3]
 
     def f():
-        h = layer_norm(x, g, b)
-        h = attention(h, w_qkv, w_out, b_out, n_heads=2, seq_len=3)
-        h = gelu(h)
-        logits = matmul_nt(take_rows(h, [2, 5]), Tensor2(rng2))
-        return cross_entropy_logits(logits, targets)
+        for t in (g, b):
+            t.grad = None
+        h = np.empty_like(x.data)
+        layer_norm_into(x.data, g.data, b.data, h, np.empty_like(h),
+                        np.empty((6, 1)))
+        loss, dlogits = cross_entropy(h[rows] @ emb.data.T, targets)
+        dh = np.zeros_like(h)
+        np.add.at(dh, rows, dlogits @ emb.data)
+        dx = layer_norm_backward(x.data, g, b, dh)
+        return loss, [dx, g.grad, b.grad, dlogits.T @ h[rows]]
 
-    rng2 = rng.normal(size=(9, 8))
-    err = finite_diff_check(f, [x, g, b, w_qkv, w_out, b_out],
-                            eps=1e-5, max_coords=12)
+    err = finite_diff_check(f, [x, g, b, emb], eps=1e-5, max_coords=12)
     assert err <= 1e-4
 
 
-def test_no_grad_builds_no_graph():
-    w = Tensor2(np.ones((2, 2)))
-    with no_grad():
-        y = mul(w, w)
-    assert y._parents == ()
-    assert y._backward is None
-
-
 def test_cross_entropy_matches_log():
-    logits = Tensor2([[0.0, np.log(3.0)]])
-    loss = cross_entropy_logits(logits, [1])
-    assert loss.item() == pytest.approx(-np.log(0.75), abs=1e-12)
+    loss, dlogits = cross_entropy(np.array([[0.0, np.log(3.0)]]), [1])
+    assert loss == pytest.approx(-np.log(0.75), abs=1e-12)
+    assert np.allclose(dlogits, [[0.25, -0.25]], atol=1e-12)
+    with pytest.raises(ValueError):
+        cross_entropy(np.zeros((2, 3)), [0])
+    with pytest.raises(ValueError):
+        cross_entropy(np.zeros((1, 3)), [3])
 
 
-def test_float32_activations_stay_float32():
-    """The fused ops keep float32 activations in float32: a NumPy float64
-    scalar in the attention scaling once promoted every activation after the
-    first attention layer of a float32 model to float64."""
+def test_float32_activations_stay_float32(monkeypatch):
+    """Every matmul of a float32 train_step, forward and backward, takes and
+    gives float32: a NumPy float64 scalar in the attention scaling once
+    promoted every activation after the first attention layer of a float32
+    model to float64."""
+    config = LoopedConfig(vocab_size=11, d_model=8, n_heads=2,
+                          prelude_layers=1, recurrent_layers=1, coda_layers=1,
+                          max_seq=6, k_max=3)
+    params = init_params(config, seed=22)
     rng = np.random.default_rng(22)
-    f32 = np.float32
-    x = Tensor2(rng.normal(size=(8, 8)).astype(f32))
-    w_qkv = Tensor2(rng.normal(size=(8, 24)).astype(f32))
-    w_out = Tensor2(rng.normal(size=(8, 8)).astype(f32))
-    b_out = Tensor2(np.zeros((1, 8), dtype=f32))
-    gain = Tensor2(np.ones((1, 8), dtype=f32))
-    bias = Tensor2(np.zeros((1, 8), dtype=f32))
-    h = attention(layer_norm(x, gain, bias), w_qkv, w_out, b_out,
-                  n_heads=2, seq_len=4)
-    assert h.data.dtype == f32
-    assert gelu(h).data.dtype == f32
+    batch = (rng.integers(0, 11, size=(4, 6)), rng.integers(0, 11, size=4))
+    seen = set()
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        seen.update(a.dtype for a in args)
+        seen.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(np, "matmul", spy)
+    train_step(params, batch, 3, AdamW(params, TrainConfig()))
+    monkeypatch.undo()
+    assert seen == {np.dtype(np.float32)}
+    for name, t in params.named_tensors():
+        assert t.data.dtype == t.grad.dtype == np.float32, name

@@ -1,7 +1,9 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from loopscope.autograd import no_grad
 from loopscope.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from loopscope.model import LoopedConfig, init_params, run_deliberation
 
@@ -26,9 +28,8 @@ def test_loaded_params_reproduce_outputs(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    with no_grad():
-        a = run_deliberation([1, 2, 3], params, k=3)
-        b = run_deliberation([1, 2, 3], loaded, k=3)
+    a = run_deliberation([1, 2, 3], params, k=3)
+    b = run_deliberation([1, 2, 3], loaded, k=3)
     for da, db in zip(a, b):
         assert np.array_equal(da.probs, db.probs)
 
@@ -62,3 +63,71 @@ def test_version_mismatch_rejected(tmp_path):
         ck.FORMAT_VERSION = old
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def _rewrite(path, edit):
+    """Rewrite a checkpoint with edit(header, manifest, blob) applied."""
+    raw = path.read_bytes()
+    hlen, mlen = struct.unpack_from("<II", raw, 8)
+    header = json.loads(raw[16:16 + hlen])
+    manifest = json.loads(raw[16 + hlen:16 + hlen + mlen])
+    header, manifest, blob = edit(header, manifest, raw[16 + hlen + mlen:])
+    h, m = json.dumps(header).encode(), json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + struct.pack("<II", len(h), len(m)) + h + m + blob)
+
+
+def _drop_config(h, m, b):
+    del h["config"]
+    return h, m, b
+
+
+def _unknown_config_key(h, m, b):
+    h["config"]["no_such_field"] = 1
+    return h, m, b
+
+
+def _entry_without_offset(h, m, b):
+    del m[3]["offset"]
+    return h, m, b
+
+
+def _manifest_dict(h, m, b):
+    return h, {e["name"]: e for e in m}, b
+
+
+def _same_offset_twice(h, m, b):
+    # two same-shape tensors read from one place; the blob keeps its size
+    m[3]["offset"] = m[2]["offset"]
+    return h, m, b
+
+
+def _trailing_bytes(h, m, b):
+    return h, m, b + b"\0" * 8
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_config, _unknown_config_key, _entry_without_offset, _manifest_dict,
+    _same_offset_twice, _trailing_bytes])
+def test_malformed_checkpoint_rejected(tmp_path, edit):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_params(CFG, seed=7), path)
+    _rewrite(path, lambda h, m, b: (h, m, b))
+    load_checkpoint(path)   # the rewrite alone keeps the file valid
+    _rewrite(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_cli_trace_on_corrupt_checkpoint_fails(tmp_path, capsys):
+    from loopscope.cli import main as cli_main
+    from tests.test_pipeline import tiny_config
+
+    config = tiny_config(tmp_path / "run")
+    cfg_path = tmp_path / "c.json"
+    config.write_json(cfg_path)
+    assert cli_main(["train", "--config", str(cfg_path)]) == 0
+    _rewrite(tmp_path / "run" / "model.ckpt", _drop_config)
+    capsys.readouterr()
+    assert cli_main(["trace", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "config" in err

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from loopscope.autograd import ShapeError, Tensor2, cross_entropy_logits, finite_diff_check, take_rows, tsum
-from loopscope.layers import LayerParams, init_layer, layer_param_count, transformer_layer_forward
+from loopscope.autograd import ShapeError, Tensor2, finite_diff_check
+from loopscope.layers import init_layer, layer_param_count, stack_backward, stack_forward
+from loopscope.model import cross_entropy
 
 
 def naive_layer_forward(x, p, n_heads, causal=True, eps=1e-5):
@@ -36,6 +37,10 @@ def naive_layer_forward(x, p, n_heads, causal=True, eps=1e-5):
     return x + h1 @ p.w_mlp2.data + p.b_mlp2.data
 
 
+def forward(x, layer, n_heads, seq_len):
+    return stack_forward(x, [layer], n_heads, seq_len)[0][-1]
+
+
 def random_layer(seed, d=8, d_mlp=16, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return init_layer(d, d_mlp, rng, proj_std=0.3, dtype=dtype)
@@ -45,7 +50,7 @@ def test_matches_naive_oracle():
     rng = np.random.default_rng(10)
     layer = random_layer(11)
     x = rng.normal(size=(5, 8))
-    got = transformer_layer_forward(Tensor2(x), layer, n_heads=2, seq_len=5).data
+    got = forward(x, layer, n_heads=2, seq_len=5)
     want = naive_layer_forward(x, layer, n_heads=2)
     assert np.max(np.abs(got - want)) < 1e-6
 
@@ -57,7 +62,7 @@ def test_zero_weight_layer_is_identity():
         t = getattr(layer, name)
         t.data[...] = 0.0
     x = np.random.default_rng(13).normal(size=(4, 8))
-    out = transformer_layer_forward(Tensor2(x), layer, n_heads=2, seq_len=4).data
+    out = forward(x, layer, n_heads=2, seq_len=4)
     # residual wiring: zero attention/mlp contributions leave the input intact
     assert np.array_equal(out, x)
 
@@ -67,18 +72,18 @@ def test_causal_masking_prefix_invariance():
     for trial in range(20):
         layer = random_layer(100 + trial)
         x = rng.normal(size=(6, 8))
-        base = transformer_layer_forward(Tensor2(x), layer, n_heads=2, seq_len=6).data
+        base = forward(x, layer, n_heads=2, seq_len=6)
         t = int(rng.integers(0, 5))
         x2 = x.copy()
         x2[t + 1:] = rng.normal(size=x2[t + 1:].shape)
-        out = transformer_layer_forward(Tensor2(x2), layer, n_heads=2, seq_len=6).data
+        out = forward(x2, layer, n_heads=2, seq_len=6)
         assert np.array_equal(out[:t + 1], base[:t + 1])
 
 
 def test_output_shape_and_finiteness():
     layer = random_layer(15)
     x = np.random.default_rng(16).normal(size=(7, 8)) * 1e2
-    out = transformer_layer_forward(Tensor2(x), layer, n_heads=4, seq_len=7).data
+    out = forward(x, layer, n_heads=4, seq_len=7)
     assert out.shape == (7, 8)
     assert np.all(np.isfinite(out))
 
@@ -86,7 +91,7 @@ def test_output_shape_and_finiteness():
 def test_shape_mismatch_rejected():
     layer = random_layer(17)
     with pytest.raises(ShapeError):
-        transformer_layer_forward(Tensor2(np.zeros((4, 6))), layer, n_heads=2, seq_len=4)
+        forward(np.zeros((4, 6)), layer, n_heads=2, seq_len=4)
 
 
 def test_two_layer_stack_gradcheck():
@@ -94,16 +99,21 @@ def test_two_layer_stack_gradcheck():
     l1, l2 = random_layer(19), random_layer(20)
     emb = Tensor2(rng.normal(size=(10, 8)) * 0.5)
     x = Tensor2(rng.normal(size=(4, 8)))
+    weights = [t for _, t in l1.tensors()] + [t for _, t in l2.tensors()]
 
     def f():
-        h = transformer_layer_forward(x, l1, n_heads=2, seq_len=4)
-        h = transformer_layer_forward(h, l2, n_heads=2, seq_len=4)
-        logits = take_rows(h, [3])
-        from loopscope.autograd import matmul_nt
-        return cross_entropy_logits(matmul_nt(logits, emb), [4])
+        for t in weights:
+            t.grad = None
+        states, caches = stack_forward(x.data, [l1, l2], n_heads=2, seq=4)
+        h = states[-1][[3]]
+        loss, dlogits = cross_entropy(h @ emb.data.T, [4])
+        dh = np.zeros_like(states[-1])
+        dh[3] = dlogits @ emb.data
+        dx = stack_backward(dh, states, caches)
+        return loss, [dx, dlogits.T @ h] + [t.grad for t in weights]
 
-    params = [x, emb] + [t for _, t in l1.tensors()] + [t for _, t in l2.tensors()]
-    err = finite_diff_check(f, params, eps=1e-5, max_coords=4, seed=0)
+    err = finite_diff_check(f, [x, emb] + weights, eps=1e-5, max_coords=4,
+                            seed=0)
     assert err <= 1e-4
 
 

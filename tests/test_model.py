@@ -4,12 +4,10 @@ import pytest
 from loopscope.autograd import ShapeError
 from loopscope.model import (
     LoopedConfig,
-    answer_logits,
     deliberate,
     expected_param_count,
     init_params,
-    prelude_forward,
-    recurrent_step,
+    loss_and_grads,
     run_deliberation,
     shared_prefix,
 )
@@ -49,58 +47,107 @@ def test_bad_head_split_rejected():
         LoopedConfig(vocab_size=10, d_model=10, n_heads=3)
 
 
-def test_prelude_shape_and_determinism(params):
+def naive_states(tokens, params, k):
+    """Answer-position states after the final norm at steps 1..k, one
+    sequence at a time through the per-position oracle: (k, batch, d)."""
+    ids = np.atleast_2d(tokens)
+    out = np.empty((k, len(ids), params.config.d_model))
+    for b, row in enumerate(ids):
+        x = params.embedding.data[row] + params.pos.data[:len(row)]
+        for layer in params.prelude:
+            x = naive_layer_forward(x, layer, n_heads=params.config.n_heads)
+        for i in range(k):
+            for layer in params.recurrent:
+                x = naive_layer_forward(x, layer, n_heads=params.config.n_heads)
+            y = x
+            for layer in params.coda:
+                y = naive_layer_forward(y, layer, n_heads=params.config.n_heads)
+            v = y[-1]
+            vhat = (v - v.mean()) / np.sqrt(((v - v.mean()) ** 2).mean() + 1e-5)
+            out[i, b] = params.final_ln_g.data[0] * vhat + params.final_ln_b.data[0]
+    return out
+
+
+def naive_beliefs(tokens, params, k):
+    """softmax(final state @ embedding^T) at steps 1..k: (k, batch, vocab)."""
+    z = naive_states(tokens, params, k) @ params.embedding.data.T
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def prelude_only(params):
+    """Zero the residual branches of the recurrent and coda layers, so both
+    stacks are the identity and every step decodes the prelude's output."""
+    for layer in params.recurrent + params.coda:
+        for name in ("w_out", "b_out", "w_mlp2", "b_mlp2"):
+            getattr(layer, name).data[...] = 0.0
+    return params
+
+
+def test_prelude_shape_and_determinism():
+    params = prelude_only(init_params(CFG, seed=42, dtype=np.float64))
     tokens = [1, 2, 3, 4]
-    h1 = prelude_forward(tokens, params)
-    h2 = prelude_forward(tokens, params)
-    assert h1.step == 0
-    assert h1.h.shape == (4, CFG.d_model)
-    assert np.array_equal(h1.h.data, h2.h.data)
+    p1 = deliberate(tokens, params, 3)
+    p2 = deliberate(tokens, params, 3)
+    assert p1.shape == (3, 1, CFG.vocab_size)
+    assert np.array_equal(p1, p2)
+    # identity steps leave h_0 unchanged, bit for bit
+    assert np.array_equal(p1[0], p1[2])
 
 
 def test_prelude_rejects_bad_tokens(params):
-    with pytest.raises(ValueError):
-        prelude_forward([0, CFG.vocab_size], params)
-    with pytest.raises(Exception):
-        prelude_forward(list(range(CFG.max_seq + 1)), params)
+    for fn in (lambda t: deliberate(t, params, 1),
+               lambda t: loss_and_grads(t, [0], params, 1)):
+        with pytest.raises(ValueError):
+            fn([0, CFG.vocab_size])
+        with pytest.raises(Exception):
+            fn(list(range(CFG.max_seq + 1)))
 
 
-def test_prelude_matches_naive_oracle(params):
+def test_prelude_matches_naive_oracle():
+    params = prelude_only(init_params(CFG, seed=42, dtype=np.float64))
     tokens = np.array([3, 1, 4, 1, 5])
-    x = params.embedding.data[tokens] + params.pos.data[:5]
-    for layer in params.prelude:
-        x = naive_layer_forward(x, layer, n_heads=CFG.n_heads)
-    got = prelude_forward(tokens, params).h.data
-    assert np.max(np.abs(got - x)) < 1e-6
+    got = deliberate(tokens, params, 1)
+    assert np.max(np.abs(got - naive_beliefs(tokens, params, 1))) < 1e-12
 
 
 def test_recurrent_step_purity_and_index(params):
-    h0 = prelude_forward([5, 6, 7], params)
-    h1 = recurrent_step(h0, params)
-    h2 = recurrent_step(h1, params)
-    assert (h0.step, h1.step, h2.step) == (0, 1, 2)
-    h1b = recurrent_step(prelude_forward([5, 6, 7], params), params)
-    assert np.array_equal(h1.h.data, h1b.h.data)
+    """The training forward is pure: the same call gives the same loss and
+    gradients, and it leaves the weights as they were."""
+    tokens, targets = np.array([[5, 6, 7], [1, 2, 3]]), [4, 9]
+    before = [t.data.copy() for _, t in params.named_tensors()]
+    runs = []
+    for _ in range(2):
+        for _, t in params.named_tensors():
+            t.grad = None
+        loss = loss_and_grads(tokens, targets, params, 2)
+        runs.append((loss, [t.grad for _, t in params.named_tensors()]))
+    assert runs[0][0] == runs[1][0]
+    for a, b in zip(runs[0][1], runs[1][1]):
+        assert np.array_equal(a, b)
+    for w, (_, t) in zip(before, params.named_tensors()):
+        assert np.array_equal(w, t.data)
+        t.grad = None
 
 
-def test_recurrent_matches_unrolled_naive_oracle(params):
-    tokens = np.array([2, 9, 11])
-    state = prelude_forward(tokens, params)
-    x = state.h.data.copy()
-    for _ in range(3):
-        for layer in params.recurrent:
-            x = naive_layer_forward(x, layer, n_heads=CFG.n_heads)
-    for _ in range(3):
-        state = recurrent_step(state, params)
-    assert np.max(np.abs(state.h.data - x)) < 1e-6
+def test_recurrent_matches_unrolled_naive_oracle():
+    """The training loss at depth 3 is the oracle's cross-entropy after 3
+    unrolled recurrent steps."""
+    params = moved_params()
+    tokens, targets = np.array([[2, 9, 10], [4, 4, 0]]), np.array([3, 7])
+    loss = loss_and_grads(tokens, targets, params, 3)
+    z = naive_states(tokens, params, 3)[-1] @ params.embedding.data.T
+    logp = z - z.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    assert abs(loss + logp[[0, 1], targets].mean()) < 1e-12
 
 
 def test_k_max_enforced(params):
-    state = prelude_forward([1], params)
-    for _ in range(CFG.k_max):
-        state = recurrent_step(state, params)
-    with pytest.raises(ValueError):
-        recurrent_step(state, params)
+    for k in (0, CFG.k_max + 1):
+        with pytest.raises(ValueError):
+            loss_and_grads([1], [0], params, k)
+        with pytest.raises(ValueError):
+            deliberate([1], params, k)
 
 
 def test_run_deliberation_valid_at_every_step(params):
@@ -135,11 +182,8 @@ def test_run_deliberation_definition_and_prefix(params):
     short = run_deliberation(tokens, params, k=3)
     one = run_deliberation(tokens, params, k=1)
     assert len(full) == 8
-    # k=1 equals softmax(C(R(P(x)))) through the taped forward
-    logits = answer_logits(recurrent_step(prelude_forward(tokens, params), params),
-                           params).data[0]
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
+    # k=1 equals softmax(C(R(P(x)))) through the per-position oracle
+    p = naive_beliefs(tokens, params, 1)[0, 0]
     assert np.max(np.abs(one[0].probs - p)) < 1e-12
     # prefix property, bit-exact
     for a, b in zip(short, full):
@@ -180,26 +224,15 @@ def moved_params(dtype=np.float64):
     return params
 
 
-def taped_beliefs(tokens, params, k):
-    """softmax(answer_logits) after i taped recurrent steps, i = 1..k."""
-    state = prelude_forward(tokens, params)
-    out = []
-    for _ in range(k):
-        state = recurrent_step(state, params)
-        z = answer_logits(state, params).data.astype(np.float64)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        out.append(e / e.sum(axis=1, keepdims=True))
-    return np.stack(out)
-
-
 @pytest.mark.parametrize("batch,seq", [(3, KCFG.max_seq), (1, KCFG.max_seq),
                                        (2, KCFG.max_seq - 2)])
 def test_deliberate_matches_taped_forward_at_every_step(batch, seq):
+    """Beliefs at every step against the per-position oracle, naive_beliefs."""
     params = moved_params()
     tokens = np.random.default_rng(batch).integers(0, KCFG.vocab_size,
                                                    size=(batch, seq))
     got = deliberate(tokens, params, KCFG.k_max)
-    ref = taped_beliefs(tokens, params, KCFG.k_max)
+    ref = naive_beliefs(tokens, params, KCFG.k_max)
     assert got.shape == ref.shape == (KCFG.k_max, batch, KCFG.vocab_size)
     assert got.dtype == np.float64
     assert np.abs(got - ref).max() < 1e-10
@@ -242,6 +275,7 @@ SHARED_BATCHES = {
 
 @pytest.mark.parametrize("name", SHARED_BATCHES)
 def test_deliberate_shared_prefix_matches_taped_forward(name):
+    """The prefix split, and beliefs at every step against naive_beliefs."""
     tokens, want_p = SHARED_BATCHES[name]
     p_len, prefixes, group = shared_prefix(tokens)
     assert p_len == want_p
@@ -249,7 +283,7 @@ def test_deliberate_shared_prefix_matches_taped_forward(name):
     assert len(np.unique(prefixes, axis=0)) == len(prefixes)
     params = moved_params()
     got = deliberate(tokens, params, KCFG.k_max)
-    ref = taped_beliefs(tokens, params, KCFG.k_max)
+    ref = naive_beliefs(tokens, params, KCFG.k_max)
     assert got.shape == ref.shape == (KCFG.k_max, len(tokens), KCFG.vocab_size)
     assert np.abs(got - ref).max() < 1e-12
     assert np.abs(np.diff(got, axis=0)).max() > 1e-3

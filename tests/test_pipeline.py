@@ -118,9 +118,12 @@ def _drop(key):
     return edit
 
 
-def _set_config(key, value):
+def _set_config(key, value, block=()):
     def edit(manifest):
-        manifest["config"][key] = value
+        config = manifest["config"]
+        for name in block:
+            config = config[name]
+        config[key] = value
         return json.dumps(manifest)
     return edit
 
@@ -131,8 +134,10 @@ def _set_config(key, value):
     (_drop("config"), "lacks 'config'"),
     (_set_config("no_such_field", 1), "config rejected"),
     (_set_config("k", 0), "config rejected"),
+    # a manifest written before TrainConfig.precision was removed
+    (_set_config("precision", "float32", ("train",)), "config rejected"),
 ], ids=["not_json", "no_files", "no_config", "unknown_config_field",
-        "invalid_config_value"])
+        "invalid_config_value", "removed_train_precision"])
 def test_verify_names_a_malformed_manifest(run, tmp_path, edit, named):
     config, _ = run
     with open(os.path.join(config.output_dir, MANIFEST_FILE)) as f:
@@ -223,6 +228,15 @@ def test_cli_trace_without_checkpoint_fails(tmp_path, capsys):
     tiny_config(out).write_json(cfg_path)
     assert cli_main(["trace", "--config", str(cfg_path)]) == 1
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_cli_config_file_with_unknown_field_fails(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "out").to_dict()
+    cfg["train"]["precision"] = "float32"   # a field TrainConfig no longer has
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["gen-bench", "--config", str(cfg_path)]) == 1
+    assert "precision" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level,z", [(0.8, 1.2815515655446004),

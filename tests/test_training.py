@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from loopscope.autograd import NumericError, Tensor2, cross_entropy_logits, finite_diff_check
-from loopscope.model import LoopedConfig, answer_logits, init_params, prelude_forward, recurrent_step
+from loopscope.autograd import NumericError, finite_diff_check
+from loopscope.model import LoopedConfig, init_params, loss_and_grads
 from loopscope.taskgen import PermutedItem, build_world, generate_benchmark
 from loopscope.training import (
     AdamW,
@@ -109,13 +109,14 @@ def test_unrolled_loop_gradcheck_float64(world, bench):
              for p in bench.permutations_for(it)][:2]
     tokens, targets = encode_dataset(items, world)
 
-    def f():
-        state = prelude_forward(tokens, params)
-        for _ in range(3):
-            state = recurrent_step(state, params)
-        return cross_entropy_logits(answer_logits(state, params), targets)
-
     tensors = [t for _, t in params.named_tensors()]
+
+    def f():
+        for t in tensors:
+            t.grad = None
+        return (loss_and_grads(tokens, targets, params, 3),
+                [t.grad for t in tensors])
+
     err = finite_diff_check(f, tensors, eps=1e-5, max_coords=3, seed=0)
     assert err <= 1e-4
 
