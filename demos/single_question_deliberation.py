@@ -66,7 +66,7 @@ for i, opt in enumerate(perm.options):
     marker = " <- correct" if i == perm.correct_index else ""
     print(f"  option {i}: {opt}{marker}")
 
-dists = run_deliberation(tokens[None, :], params, k=K)
+dists = run_deliberation(tokens, params, k=K)
 traj = belief_trajectory(
     dists, world.encode(perm.options), item_id=item.item_id,
     variant=item.variant, correct_index=perm.correct_index,

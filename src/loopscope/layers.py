@@ -3,6 +3,7 @@ inference share, and the backward of a full-sequence forward."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -74,8 +75,8 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 #
 # The block on raw arrays: every temporary lives in buffers that the caller
 # allocates. Inference reuses one set of buffers for every layer and step.
-# Training gives each layer application its own set, and those buffers are
-# the cache that layer_backward reads.
+# Training gives each layer application its own copy of the buffers that
+# layer_backward reads, which are its cache, and shares the rest.
 #
 # One call runs the block for `batch` sequences of n_k positions. It holds the
 # states x of each sequence's last n_x positions and queries the last n_q of
@@ -307,18 +308,28 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     return dx
 
 
+# the Buffers arrays that layer_backward reads; a cache gives GELU's tanh (t)
+# and output (act) their own arrays instead of the scratch and its input
+_CACHED = ("q", "scores", "ctx", "mid", "ln", "hidden", "t", "act")
+
+
 def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int):
     """Whole-sequence layer_forward of (batch*seq, d_model) rows through
-    `layers`, each layer application with its own buffers. Returns the
-    states (the input first, the output last) and the per-layer caches that
-    stack_backward reads."""
+    `layers`. Returns the states (the input first, the output last) and the
+    per-layer caches that stack_backward reads. Each layer application has
+    its own copy of what layer_backward reads; the scratch it does not read
+    (Buffers.tmp, .proj, .stat and .smax, KeyBuffers.scratch and .stat) is
+    one set that every application shares."""
     rows, d = x.shape
+    shared_keys = KeyBuffers(rows // seq, seq, seq, d, x.dtype)
+    shared = Buffers(rows // seq, seq, seq, d, layers[0].w_mlp1.data.shape[1],
+                     n_heads, x.dtype)
     states, caches = [x], []
     for p in layers:
-        keys = KeyBuffers(rows // seq, seq, seq, d, x.dtype)
-        buf = Buffers(rows // seq, seq, seq, d, p.w_mlp1.data.shape[1],
-                      n_heads, x.dtype)
-        buf.t, buf.act = np.empty_like(buf.tmp), np.empty_like(buf.hidden)
+        keys, buf = copy.copy(shared_keys), copy.copy(shared)
+        keys.ln, keys.kv = np.empty_like(keys.ln), np.empty_like(keys.kv)
+        for name in _CACHED:
+            setattr(buf, name, np.empty_like(getattr(shared, name)))
         states.append(np.empty_like(x))
         layer_forward(states[-2], p, keys, buf, states[-1])
         caches.append((p, keys, buf))

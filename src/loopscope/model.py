@@ -7,6 +7,8 @@ distribution at the answer position.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -178,9 +180,9 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int) -> float:
     LM head at the last position of each sequence, and returns the mean
     cross-entropy against `targets`. Every weight's gradient is added into
     its .grad, through all k steps (full unroll, no truncation). Each layer
-    application keeps its own buffers, and a reverse loop over them is the
-    backward pass. Raises NumericError, before the backward, on a
-    non-finite loss."""
+    application keeps its own copy of what its backward reads, and a
+    reverse loop over them is the backward pass. Raises NumericError,
+    before the backward, on a non-finite loss."""
     cfg = params.config
     if not 1 <= k <= cfg.k_max:
         raise ValueError(f"recurrence depth k={k} must lie in 1..{cfg.k_max}")
@@ -243,6 +245,67 @@ def shared_prefix(ids: np.ndarray):
     return p, rows[starts, :p], group
 
 
+# The fewest rows a shard of `deliberate` takes, and the multiple of rows
+# each shard starts at. At 1 BLAS thread on a 2-core x86 box (SkylakeX
+# kernel, reference dimensions, k = 30) two shards of 48 rows break even
+# with one of 96. It must stay a multiple of 48, the common multiple of
+# OpenBLAS's row tiles: a product's rows are computed in tiles of up to 16
+# (12 on Haswell and Zen, 8 on Nehalem), and a row's float32 bits can
+# depend on its place in its tile and on whether the product has fewer
+# than about 27 rows (SkylakeX's small-matrix kernel); shards that start
+# at multiples of 48 keep every row's place.
+_SHARD_ROWS = 48
+
+
+def _blas_threads(environ, blas: str) -> int | None:
+    """The thread count an OpenBLAS named `blas` starts with, from the
+    variables it reads when it loads, in its order. None when none is set,
+    for then it takes every core, and None for any other BLAS (MKL reads
+    other variables)."""
+    if "openblas" not in blas.lower():
+        return None
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return None
+
+
+def _numpy_blas() -> str:
+    """The name of the BLAS NumPy was built on, or '' if it does not say."""
+    try:
+        return str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
+    except (AttributeError, KeyError, TypeError):
+        return ""
+
+
+# NumPy, and with it OpenBLAS, is loaded before this module; a thread count
+# changed later at run time (openblas_set_num_threads, threadpoolctl) is
+# not seen
+_BLAS_THREADS = _blas_threads(os.environ, _numpy_blas())
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_workers(rows: int, cores: int, blas_threads: int | None) -> int:
+    """Threads `deliberate` runs `rows` on: one per core and at most one per
+    _SHARD_ROWS rows when BLAS runs on 1 thread, else 1. Shards calling a
+    multithreaded BLAS at once were slower (2 BLAS threads on 2 cores), and
+    more BLAS threads on more cores were not measured."""
+    if blas_threads != 1:
+        return 1
+    return max(1, min(cores, rows // _SHARD_ROWS))
+
+
 def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     """Decoded beliefs p_i = softmax(C(h_i)) at the answer position after
     every recurrence step i = 1..k, as a (k, batch, vocab) float64 block.
@@ -262,15 +325,73 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     on the tokens, and the beliefs do not depend on it beyond the rounding
     of the weights' dtype. With p = 0 (one row, or no shared prefix) the
     prefix half is skipped.
+
+    A batch of at least 2 * _SHARD_ROWS rows runs in row shards at the same
+    time when OpenBLAS runs on 1 thread (OPENBLAS_NUM_THREADS=1): one shard
+    on the calling thread and one per further usable core on worker threads
+    (NumPy releases the GIL in its loops and in BLAS), at least _SHARD_ROWS
+    rows each, so a trace batch uses every core. With BLAS threads unset or
+    above 1, or a BLAS other than OpenBLAS, every batch runs as one shard,
+    as does every batch below the floor. Shards take contiguous rows from
+    multiples of _SHARD_ROWS and each computes every prefix, so each row
+    sits at the same place in every product as with one shard. The beliefs
+    were checked bit-identical to one shard's with OpenBLAS 0.3.31 on 1
+    thread under its SkylakeX and Haswell kernels.
     """
+    return _deliberate(tokens, params, k, _usable_cores(), _BLAS_THREADS)
+
+
+def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,
+                blas_threads: int | None) -> np.ndarray:
+    """`deliberate` in _shard_workers(batch, cores, blas_threads) shards."""
     cfg = params.config
     if k < 1:
         raise ValueError("k must be >= 1 (decoding starts at step 1)")
     if k > cfg.k_max:
         raise ValueError(f"k {k} exceeds k_max {cfg.k_max}")
     ids = _check_tokens(tokens, cfg)
-    batch, seq = ids.shape
+    batch = len(ids)
     p_len, prefixes, group = shared_prefix(ids)
+    probs = np.empty((k, batch, cfg.vocab_size))
+    # shard s starts at the multiple of _SHARD_ROWS at or below s * batch / n;
+    # n <= batch / _SHARD_ROWS, so every shard gets at least _SHARD_ROWS rows
+    n = _shard_workers(batch, cores, blas_threads)
+    cuts = [batch * s // n // _SHARD_ROWS * _SHARD_ROWS for s in range(n)]
+    cuts.append(batch)
+    errors = []     # nonempty: every shard stops at its next step
+
+    def shard(lo, hi):
+        try:
+            _beliefs(ids[lo:hi], p_len, prefixes, group[lo:hi], params,
+                     probs[:, lo:hi], errors)
+        except Exception as exc:         # raised on the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=shard, args=span)
+               for span in zip(cuts[1:-1], cuts[2:])]
+    for t in threads:
+        t.start()
+    try:
+        shard(cuts[0], cuts[1])
+        for t in threads:
+            t.join()
+    except BaseException as exc:         # an interrupt: stop the workers first
+        errors.append(exc)
+        for t in threads:
+            t.join()
+        raise
+    if errors:
+        raise errors[0]
+    return probs
+
+
+def _beliefs(ids, p_len, prefixes, group, params: LoopedModelParams,
+             probs: np.ndarray, stop: list) -> None:
+    """The kernel of `deliberate`: the (k, batch, vocab) beliefs of the token
+    rows `ids`, whose first p_len tokens are prefixes[group], into probs,
+    one step at a time. Returns early once `stop` is nonempty."""
+    cfg = params.config
+    batch, seq = ids.shape
     emb = params.embedding.data
     dtype, d = emb.dtype, cfg.d_model
 
@@ -307,8 +428,9 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     coda_pre, coda = np.empty_like(pre_h), np.empty_like(h)
     top = np.empty((batch, d), dtype)
     logits = np.empty((batch, cfg.vocab_size), dtype)
-    probs = np.empty((k, batch, cfg.vocab_size))
-    for i in range(k):
+    for i in range(len(probs)):
+        if stop:
+            return
         for layer in params.recurrent:
             block(layer, pre_h, h)
         np.copyto(coda_pre, pre_h)
@@ -326,16 +448,16 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
         p -= p.max(axis=1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-    return probs
 
 
 def run_deliberation(tokens, params: LoopedModelParams, k: int):
     """Decode the model's belief at every recurrence step 1..k.
 
-    Returns a list of k StepDistributions, (vocab,) probabilities for a
-    single sequence and (batch, vocab) otherwise; see `deliberate`.
+    Returns a list of k StepDistributions: (vocab,) probabilities for a
+    single sequence given as 1-D tokens, (batch, vocab) for a 2-D batch,
+    a batch of one included; see `deliberate`.
     """
     probs = deliberate(tokens, params, k)
-    if probs.shape[1] == 1:
+    if np.ndim(tokens) == 1:
         probs = probs[:, 0]
     return [StepDistribution(probs=p, step=i + 1) for i, p in enumerate(probs)]

@@ -1,7 +1,12 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from loopscope.autograd import ShapeError
+from loopscope import model
+from loopscope.autograd import NumericError, ShapeError
 from loopscope.model import (
     LoopedConfig,
     deliberate,
@@ -190,6 +195,15 @@ def test_run_deliberation_definition_and_prefix(params):
         assert np.array_equal(a.probs, b.probs)
 
 
+def test_run_deliberation_keeps_the_batch_axis_of_a_batch_of_one(params):
+    single = run_deliberation([4, 8, 15], params, k=3)
+    batch = run_deliberation([[4, 8, 15]], params, k=3)
+    for a, b in zip(single, batch):
+        assert a.probs.shape == (CFG.vocab_size,)
+        assert b.probs.shape == (1, CFG.vocab_size)
+        assert np.array_equal(b.probs[0], a.probs)
+
+
 def test_run_deliberation_rejects_bad_k(params):
     for fn in (run_deliberation, deliberate):
         with pytest.raises(ValueError):
@@ -215,9 +229,9 @@ KCFG = LoopedConfig(vocab_size=11, d_model=8, n_heads=2, prelude_layers=1,
                     recurrent_layers=2, coda_layers=2, max_seq=6, k_max=6)
 
 
-def moved_params(dtype=np.float64):
+def moved_params(dtype=np.float64, config=KCFG):
     """Weights moved off their initial values so beliefs change per step."""
-    params = init_params(KCFG, seed=3, dtype=dtype)
+    params = init_params(config, seed=3, dtype=dtype)
     rng = np.random.default_rng(0)
     for _, t in params.named_tensors():
         t.data += rng.normal(0.0, 0.3, t.data.shape).astype(dtype)
@@ -240,23 +254,22 @@ def test_deliberate_matches_taped_forward_at_every_step(batch, seq):
     assert np.abs(np.diff(got, axis=0)).max() > 1e-3
 
 
-def stems_batch(seed, sizes, seq, shared):
+def stems_batch(seed, sizes, seq, shared, vocab=KCFG.vocab_size):
     """Rows of len(sizes) stems, sizes[i] rows each: every row of a stem
     starts with the stem's `shared` tokens and goes on at random. The rows
     are shuffled, so a stem's rows are not next to each other."""
     rng = np.random.default_rng(seed)
-    rows = [np.concatenate([stem, rng.integers(0, KCFG.vocab_size,
-                                               seq - shared)])
+    rows = [np.concatenate([stem, rng.integers(0, vocab, seq - shared)])
             for size in sizes
-            for stem in [rng.integers(0, KCFG.vocab_size, shared)]
+            for stem in [rng.integers(0, vocab, shared)]
             for _ in range(size)]
     return np.array(rows)[rng.permutation(sum(sizes))]
 
 
-def distinct_starts(n, seq):
+def distinct_starts(n, seq, vocab=KCFG.vocab_size):
     """n random rows whose first tokens all differ."""
     rng = np.random.default_rng(n)
-    rest = rng.integers(0, KCFG.vocab_size, size=(n, seq - 1))
+    rest = rng.integers(0, vocab, size=(n, seq - 1))
     return np.column_stack([np.arange(n), rest])
 
 
@@ -347,3 +360,168 @@ def test_bare_run_deliberation_leaves_grads_unset():
     dists = run_deliberation([1, 2, 3], params, k=3)
     assert all(isinstance(d.probs, np.ndarray) for d in dists)
     assert all(t.grad is None for _, t in params.named_tensors())
+
+
+# -- row shards ---------------------------------------------------------------
+
+
+SCFG = LoopedConfig(vocab_size=200, d_model=8, n_heads=2, prelude_layers=1,
+                    recurrent_layers=2, coda_layers=2, max_seq=6, k_max=4)
+ROWS = model._SHARD_ROWS
+
+
+SHARD_BATCHES = {
+    # name: (tokens, the prefix length the split must choose)
+    "shuffled-stems": (stems_batch(10, [40] * 4, SCFG.max_seq, 3,
+                                   SCFG.vocab_size), 3),
+    "unequal-groups": (stems_batch(11, [5, 90, 17, 60, 1], SCFG.max_seq, 2,
+                                   SCFG.vocab_size), 2),
+    "no-common-prefix": (distinct_starts(3 * ROWS + 7, SCFG.max_seq,
+                                         SCFG.vocab_size), 0),
+    # 12 rows, each 13 times over: only the answer position is their own
+    "duplicate-rows": (np.repeat(stems_batch(12, [8, 4], SCFG.max_seq, 2,
+                                             SCFG.vocab_size), 13, axis=0),
+                       SCFG.max_seq - 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", SHARD_BATCHES)
+def test_sharded_deliberate_is_bit_identical_to_one_shard(name, dtype):
+    tokens, want_p = SHARD_BATCHES[name]
+    assert shared_prefix(tokens)[0] == want_p
+    params = moved_params(dtype, SCFG)
+    one = model._deliberate(tokens, params, SCFG.k_max, 1, 1)
+    for workers in (2, 3):
+        assert model._shard_workers(len(tokens), workers, 1) == workers
+        got = model._deliberate(tokens, params, SCFG.k_max, workers, 1)
+        assert np.array_equal(got, one)
+    assert np.array_equal(deliberate(tokens, params, SCFG.k_max), one)
+    assert np.abs(np.diff(one, axis=0)).max() > 1e-3
+
+
+def test_more_shards_than_cores_are_bit_identical_and_leave_no_threads():
+    tokens = stems_batch(13, [24] * 20, SCFG.max_seq, 4, SCFG.vocab_size)
+    params = moved_params(np.float32, SCFG)
+    one = model._deliberate(tokens, params, SCFG.k_max, 1, 1)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # switch threads as often as possible
+    try:
+        got = model._deliberate(tokens, params, SCFG.k_max, 8, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert model._shard_workers(len(tokens), 8, 1) == 8
+    assert threading.active_count() == threads
+    assert np.array_equal(got, one)
+
+
+@pytest.mark.parametrize("on_worker,error", [
+    (True, NumericError("non-finite in a worker shard")),
+    (False, KeyboardInterrupt()),
+])
+def test_an_error_in_a_shard_is_raised_once_every_worker_is_joined(
+        monkeypatch, on_worker, error):
+    beliefs = model._beliefs
+
+    def failing(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main != on_worker:
+            raise error
+        beliefs(*args)
+
+    monkeypatch.setattr(model, "_beliefs", failing)
+    tokens, _ = SHARD_BATCHES["no-common-prefix"]
+    threads = threading.active_count()
+    with pytest.raises(type(error)):
+        model._deliberate(tokens, moved_params(np.float32, SCFG), SCFG.k_max,
+                          3, 1)
+    assert threading.active_count() == threads
+
+
+def test_an_interrupt_while_joining_stops_the_workers(monkeypatch):
+    """The calling shard is done and waits for the workers when the
+    interrupt comes; the workers must see it, stop and be joined."""
+    beliefs, saw_stop = model._beliefs, []
+
+    def worker_waits(ids, p_len, prefixes, group, params, probs, stop):
+        if threading.current_thread() is not threading.main_thread():
+            deadline = time.monotonic() + 10
+            while not stop and time.monotonic() < deadline:
+                time.sleep(0.005)
+            saw_stop.append(bool(stop))
+        beliefs(ids, p_len, prefixes, group, params, probs, stop)
+
+    class InterruptedJoin(threading.Thread):
+        interrupted = False
+
+        def join(self, timeout=None):
+            if not InterruptedJoin.interrupted:
+                InterruptedJoin.interrupted = True
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(model, "_beliefs", worker_waits)
+    monkeypatch.setattr(model.threading, "Thread", InterruptedJoin)
+    tokens, _ = SHARD_BATCHES["no-common-prefix"]
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        model._deliberate(tokens, moved_params(np.float32, SCFG), SCFG.k_max,
+                          3, 1)
+    assert threading.active_count() == threads
+    assert saw_stop == [True, True]
+
+
+def test_shard_floor_keeps_every_blas_row_tile_aligned():
+    assert ROWS % 48 == 0            # 8-, 12- and 16-row tiles
+
+
+def test_shards_are_contiguous_from_multiples_of_the_floor(monkeypatch):
+    """A row's bits can depend on its place in a BLAS row tile, which some
+    kernels (not every one) show; check the placement itself."""
+    beliefs, seen = model._beliefs, []
+
+    def spy(ids, p_len, prefixes, group, params, probs, stop):
+        seen.append(len(ids))
+        beliefs(ids, p_len, prefixes, group, params, probs, stop)
+
+    monkeypatch.setattr(model, "_beliefs", spy)
+    tokens, _ = SHARD_BATCHES["no-common-prefix"]     # 3 * ROWS + 7 rows
+    model._deliberate(tokens, moved_params(np.float32, SCFG), 1, 3, 1)
+    assert sorted(seen) == [ROWS, ROWS, ROWS + 7]
+
+
+@pytest.mark.parametrize("rows,cores,blas_threads,want", [
+    (504, 2, 1, 2),                  # OPENBLAS_NUM_THREADS=1 on 2 cores
+    (504, 8, 1, 8),
+    (504, 2, None, 1),               # unset: BLAS takes every core
+    (504, 2, 2, 1),                  # measured slower than one shard
+    (504, 8, 2, 1),                  # not measured: one shard
+    (504, 1, 1, 1),                  # one core
+    (2 * ROWS - 1, 2, 1, 1),         # below the floor
+    (2 * ROWS, 2, 1, 2),
+    (32, 2, 1, 1),                   # the train workload's per-epoch eval
+    (1, 2, 1, 1),
+    (0, 2, 1, 1),
+])
+def test_shard_worker_count(rows, cores, blas_threads, want):
+    assert model._shard_workers(rows, cores, blas_threads) == want
+
+
+@pytest.mark.parametrize("environ,want", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, 3),
+    ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many"}, None),
+])
+def test_blas_threads_read_like_openblas(environ, want):
+    assert model._blas_threads(environ, "scipy-openblas") == want
+
+
+@pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
+def test_blas_threads_of_another_blas_are_unknown(blas):
+    environ = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    assert model._blas_threads(environ, blas) is None
