@@ -47,7 +47,6 @@ from .taskgen import (
     SyntheticWorld,
     build_world,
     generate_benchmark,
-    read_benchmark_jsonl,
     render_tokens,
     write_benchmark_jsonl,
 )

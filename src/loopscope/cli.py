@@ -31,18 +31,11 @@ from .pipeline import (
     verify,
 )
 
+# one flag per ExperimentConfig field but `train`, typed by its default
 _SIMPLE_FIELDS = [
-    ("n_categories", int), ("entities_per_category", int),
-    ("n_attributes", int), ("n_values", int), ("category_coherence", float),
-    ("n_stems", int), ("two_hop_fraction", float), ("n_permutations", int),
-    ("holdout_stems", int),
-    ("train_variants", lambda s: tuple(s.split(","))),
-    ("d_model", int), ("n_heads", int), ("prelude_layers", int),
-    ("recurrent_layers", int), ("coda_layers", int), ("k", int),
-    ("tol", float), ("window", int), ("min_run", int),
-    ("n_resamples", int), ("level", float), ("trace_batch", int),
-    ("output_dir", str), ("seed", int),
-]
+    (f.name, (lambda s: tuple(s.split(","))) if f.name == "train_variants"
+     else type(f.default))
+    for f in dataclasses.fields(ExperimentConfig) if f.name != "train"]
 
 _TRAIN_FIELDS = [
     ("lr", float), ("batch_size", int), ("epochs", int),

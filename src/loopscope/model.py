@@ -256,6 +256,13 @@ def shared_prefix(ids: np.ndarray):
 # at multiples of 48 keep every row's place.
 _SHARD_ROWS = 48
 
+# Rows per `deliberate` call when a trace or an evaluation decodes many rows,
+# cut in their given order. It is fixed, not a setting, because a row's
+# float32 beliefs depend on the rows decoded with it (its place in BLAS's
+# row tiles and the prefix split `shared_prefix` picks), so another chunk
+# size would change the trace's bytes.
+CHUNK_ROWS = 512
+
 
 def _blas_threads(environ, blas: str) -> int | None:
     """The thread count an OpenBLAS named `blas` starts with, from the

@@ -21,15 +21,12 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import (
-    CORRECT,
     aggregate_stats,
     belief_trajectory,
-    detect_backtracks,
     read_trajectories_jsonl,
-    similarity_rank,
     write_trajectories_jsonl,
 )
-from .model import LoopedConfig, deliberate, init_params
+from .model import CHUNK_ROWS, LoopedConfig, deliberate, init_params
 from .seeds import derive_seed
 from .svgplot import emit_entropy_plot, emit_trajectory_plot
 from .taskgen import RENDER_LEN, build_world, generate_benchmark, render_tokens, write_benchmark_jsonl
@@ -50,8 +47,12 @@ OUTPUT_FILES = [BENCH_FILE, CKPT_FILE, TRAIN_LOG_FILE, TRAJ_FILE,
                 SUMMARY_FILE, RANKS_FILE, CURVES_FILE,
                 FIG_TRAJ_FILE, FIG_ENTROPY_FILE]
 
-RANK_ROWS = [("most_similar", 1), ("second_similar", 2),
-             ("least_similar", 3), ("adopted_correct", None)]
+# backtrack_ranks.csv rows: label, and the summary statistic holding its share
+# of the Base backtracking events; the first three rank abandoned distractors
+RANK_ROWS = [("most_similar", "abandoned_most_similar_fraction"),
+             ("second_similar", "abandoned_second_similar_fraction"),
+             ("least_similar", "abandoned_least_similar_fraction"),
+             ("adopted_correct", "adopted_correct_fraction")]
 
 
 # share of the training stems whose Base variant is trained (see stage_train)
@@ -97,19 +98,26 @@ class ExperimentConfig:
     n_resamples: int = 10000
     level: float = 0.95
     # plumbing
-    trace_batch: int = 512
     output_dir: str = "out"
     seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.train, dict):
             self.train = TrainConfig(**self.train)
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError("train must be a TrainConfig or a dict of its fields")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be >= 1")
         if not 0 <= self.holdout_stems < self.n_stems:
             raise ValueError("holdout_stems must be in [0, n_stems)")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
+        if min(self.window, self.min_run, self.n_resamples) < 1:
+            raise ValueError("window, min_run and n_resamples must be >= 1")
+        if not 0 < self.level < 1:
+            raise ValueError("level must lie in (0, 1)")
         self.train_variants = tuple(self.train_variants)
         if not self.train_variants or not set(self.train_variants) <= {"Base", "Easy"}:
             raise ValueError("train_variants must be a nonempty subset of "
@@ -148,8 +156,6 @@ class ExperimentConfig:
 class ExperimentReport:
     summary: dict                 # statistic name -> Stat | None
     entropy_curves: dict          # variant -> (mean, lower, upper) arrays
-    rank_counts: dict             # rank label -> event count
-    n_events: int
     manifest: dict = field(default_factory=dict)
 
 
@@ -202,18 +208,17 @@ def stage_gen_bench(config: ExperimentConfig, write: bool = True):
     return world, bench
 
 
-def _split_stems(config: ExperimentConfig, bench):
+def split_stems(config: ExperimentConfig, bench) -> list:
+    """Ids of the training stems, in benchmark order: every stem but the
+    last `holdout_stems`, which are held out of training and traced."""
     stems = bench.stems()
-    n_hold = config.holdout_stems
-    train_ids = {s.item_id for s in stems[:len(stems) - n_hold]}
-    return train_ids
+    return [s.item_id for s in stems[:len(stems) - config.holdout_stems]]
 
 
 def known_stems(config: ExperimentConfig, bench) -> set:
     """Training stems whose Base variant is trained on: a seeded random
     KNOWN_FRACTION of them."""
-    train_ids = _split_stems(config, bench)
-    stems = [s.item_id for s in bench.stems() if s.item_id in train_ids]
+    stems = split_stems(config, bench)
     n_known = round(KNOWN_FRACTION * len(stems))
     rng = np.random.default_rng(derive_seed(config.seed, "known"))
     return {stems[i] for i in rng.choice(len(stems), n_known, replace=False)}
@@ -232,7 +237,7 @@ def stage_train(config: ExperimentConfig, world, bench, write: bool = True):
     probe, and the other stems keep Base a genuine probe."""
     params = init_params(config.model_config(len(world.vocab)),
                          seed=derive_seed(config.seed, "init"))
-    train_ids = _split_stems(config, bench)
+    train_ids = set(split_stems(config, bench))
     known = known_stems(config, bench)
     train_items = [p for it in bench.items
                    if it.item_id in train_ids
@@ -259,15 +264,14 @@ def stage_train(config: ExperimentConfig, world, bench, write: bool = True):
 def stage_trace(config: ExperimentConfig, world, bench, params,
                 write: bool = True):
     """Decode every (item, permutation) deliberation at depth k, in stable
-    benchmark order, batched for throughput."""
+    benchmark order, in chunks of CHUNK_ROWS rows cut in that order."""
     rows = [(item, perm) for item in bench.items
             for perm in bench.permutations_for(item)]
     tokens = np.stack([world.encode(render_tokens(p)) for _, p in rows])
     trajectories = []
-    for lo in range(0, len(rows), config.trace_batch):
-        hi = min(lo + config.trace_batch, len(rows))
-        probs = deliberate(tokens[lo:hi], params, config.k)
-        for j, (item, perm) in enumerate(rows[lo:hi]):
+    for lo in range(0, len(rows), CHUNK_ROWS):
+        probs = deliberate(tokens[lo:lo + CHUNK_ROWS], params, config.k)
+        for j, (item, perm) in enumerate(rows[lo:lo + CHUNK_ROWS]):
             trajectories.append(belief_trajectory(
                 probs[:, j], world.encode(perm.options),
                 item_id=item.item_id, variant=item.variant,
@@ -306,80 +310,76 @@ def entropy_curves(trajectories, level: float = 0.95) -> dict:
     return curves
 
 
-def rank_histogram(trajectories, min_run: int = 3):
-    """Counts of abandoned-answer similarity ranks over Base backtracking
-    events, plus the adopted-correct count."""
-    counts = {label: 0 for label, _ in RANK_ROWS}
-    n_events = 0
-    for t in sorted(trajectories, key=lambda t: (t.item_id, t.variant,
-                                                 t.perm_index)):
-        if t.variant != "Base":
-            continue
-        for e in detect_backtracks(t.argmax_series, min_run=min_run):
-            n_events += 1
-            r = similarity_rank(t, e.abandoned)
-            if r != CORRECT:
-                label = {1: "most_similar", 2: "second_similar",
-                         3: "least_similar"}[r]
-                counts[label] += 1
-            if e.adopted == t.correct_index:
-                counts["adopted_correct"] += 1
-    return counts, n_events
+def _report(config: ExperimentConfig, trajectories) -> ExperimentReport:
+    return ExperimentReport(
+        summary=aggregate_stats(
+            trajectories, tol=config.tol, window=config.window,
+            min_run=config.min_run, n_resamples=config.n_resamples,
+            level=config.level, seed=derive_seed(config.seed, "analyze")),
+        entropy_curves=entropy_curves(trajectories, level=config.level))
 
 
 @_stage("analyze")
 def stage_analyze(config: ExperimentConfig, trajectories,
                   write: bool = True) -> ExperimentReport:
-    summary = aggregate_stats(
-        trajectories, tol=config.tol, window=config.window,
-        min_run=config.min_run, n_resamples=config.n_resamples,
-        level=config.level, seed=derive_seed(config.seed, "analyze"))
-    curves = entropy_curves(trajectories, level=config.level)
-    counts, n_events = rank_histogram(trajectories, min_run=config.min_run)
-    report = ExperimentReport(summary=summary, entropy_curves=curves,
-                              rank_counts=counts, n_events=n_events)
+    report = _report(config, trajectories)
     if write:
         export_summary(report, config.output_dir)
     return report
 
 
+def _summary_rows(summary) -> list:
+    rows = [["statistic", "value", "ci_low", "ci_high", "n", "note"]]
+    for name in sorted(summary):
+        s = summary[name]
+        rows.append([name, "", "", "", "0", "absent"] if s is None else
+                    [name, _fnum(s.value), _fnum(s.ci_low), _fnum(s.ci_high),
+                     str(s.n), s.note])
+    return rows
+
+
+def _rank_rows(summary) -> list:
+    """Counts and shares of the Base backtracking events, from the summary:
+    each RANK_ROWS statistic is a mean of n 0/1 values, one per event, so
+    round(value * n) is its count. An absent statistic counts 0."""
+    def count(name):
+        s = summary.get(name)
+        return 0 if s is None else round(s.value * s.n)
+
+    events = summary.get("n_backtrack_events_Base")
+    n = 0 if events is None else round(events.value)
+    counts = [count(name) for _, name in RANK_ROWS]
+    n_distractor = sum(counts[:3])
+    rows = [["abandoned_answer", "count",
+             "fraction_of_events", "fraction_of_distractor_events"]]
+    for i, ((label, _), c) in enumerate(zip(RANK_ROWS, counts)):
+        rows.append([label, str(c), _fnum(c / n) if n else "",
+                     _fnum(c / n_distractor) if i < 3 and n_distractor else ""])
+    return rows
+
+
+def _curve_rows(curves) -> list:
+    rows = [["variant", "step", "mean_entropy_nats", "ci_low", "ci_high"]]
+    for variant in sorted(curves):
+        rows += [[variant, str(i), _fnum(m), _fnum(lo), _fnum(hi)]
+                 for i, (m, lo, hi) in enumerate(zip(*curves[variant]), 1)]
+    return rows
+
+
+def _tables(summary, curves) -> dict:
+    """file name -> rows, header first, of each analysis CSV."""
+    return {SUMMARY_FILE: _summary_rows(summary),
+            RANKS_FILE: _rank_rows(summary),
+            CURVES_FILE: _curve_rows(curves)}
+
+
 def export_summary(report: ExperimentReport, out_dir) -> None:
     """summary.csv, backtrack_ranks.csv, entropy_curves.csv (UTF-8, fixed
     column order, deterministic float formatting)."""
-    with open(os.path.join(out_dir, SUMMARY_FILE), "w", newline="",
-              encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["statistic", "value", "ci_low", "ci_high", "n", "note"])
-        for name in sorted(report.summary):
-            s = report.summary[name]
-            if s is None:
-                w.writerow([name, "", "", "", 0, "absent"])
-            else:
-                w.writerow([name, _fnum(s.value), _fnum(s.ci_low),
-                            _fnum(s.ci_high), s.n, s.note])
-    with open(os.path.join(out_dir, RANKS_FILE), "w", newline="",
-              encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["abandoned_answer", "count",
-                    "fraction_of_events", "fraction_of_distractor_events"])
-        n = report.n_events
-        n_distractor = sum(report.rank_counts[l] for l, r in RANK_ROWS
-                           if r is not None)
-        for label, rank in RANK_ROWS:
-            c = report.rank_counts[label]
-            frac = _fnum(c / n) if n else ""
-            dfrac = ("" if rank is None or not n_distractor
-                     else _fnum(c / n_distractor))
-            w.writerow([label, c, frac, dfrac])
-    with open(os.path.join(out_dir, CURVES_FILE), "w", newline="",
-              encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["variant", "step", "mean_entropy_nats", "ci_low", "ci_high"])
-        for variant in sorted(report.entropy_curves):
-            mean, lo, hi = report.entropy_curves[variant]
-            for i in range(mean.size):
-                w.writerow([variant, i + 1, _fnum(mean[i]), _fnum(lo[i]),
-                            _fnum(hi[i])])
+    for name, rows in _tables(report.summary, report.entropy_curves).items():
+        with open(os.path.join(out_dir, name), "w", newline="",
+                  encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
 
 
 @_stage("plot")
@@ -468,40 +468,48 @@ def verify(output_dir) -> list:
     if not isinstance(files, dict) or not all(
             isinstance(v, str) for v in files.values()):
         return [f"{MANIFEST_FILE}: \"files\" is not a map of file names to hashes"]
+    unlisted = [name for name in OUTPUT_FILES if name not in files]
+    if unlisted:
+        return [f"{MANIFEST_FILE}: \"files\" lacks {', '.join(unlisted)}"]
+    unknown = sorted(set(files) - set(OUTPUT_FILES))
+    if unknown:
+        return [f"{MANIFEST_FILE}: \"files\" lists {', '.join(unknown)}, "
+                "which no stage writes"]
     try:
         config = ExperimentConfig.from_dict(manifest["config"])
     except ValueError as e:
         return [f"{MANIFEST_FILE}: config rejected ({e})"]
     for name, digest in files.items():
         path = os.path.join(output_dir, name)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             problems.append(f"{name}: listed in manifest but missing")
         elif _sha256(path) != digest:
             problems.append(f"{name}: content hash mismatch")
     if problems:
         return problems
 
-    trajectories = read_trajectories_jsonl(os.path.join(output_dir, TRAJ_FILE))
-    summary = aggregate_stats(
-        trajectories, tol=config.tol, window=config.window,
-        min_run=config.min_run, n_resamples=config.n_resamples,
-        level=config.level, seed=derive_seed(config.seed, "analyze"))
-    with open(os.path.join(output_dir, SUMMARY_FILE), encoding="utf-8") as f:
-        rows = {r["statistic"]: r for r in csv.DictReader(f)}
-    for name in sorted(summary):
-        if name not in rows:
-            problems.append(f"summary.csv missing statistic {name}")
+    # every analysis table, rebuilt from the trajectories by the writer's
+    # own row builders
+    try:
+        report = _report(config, read_trajectories_jsonl(
+            os.path.join(output_dir, TRAJ_FILE)))
+    except Exception as e:       # verify reports, and never raises
+        return [f"{TRAJ_FILE}: cannot be analyzed ({type(e).__name__}: {e})"]
+    for name, expected in _tables(report.summary,
+                                  report.entropy_curves).items():
+        try:
+            with open(os.path.join(output_dir, name), newline="",
+                      encoding="utf-8") as f:
+                rows = list(csv.reader(f))
+        except (OSError, UnicodeDecodeError, csv.Error) as e:
+            problems.append(f"{name}: not readable as CSV ({e})")
             continue
-        s, row = summary[name], rows[name]
-        if s is None:
-            if row["value"] != "":
-                problems.append(f"{name}: file has a value, recompute is absent")
-        elif (row["value"] != _fnum(s.value)
-              or row["ci_low"] != _fnum(s.ci_low)
-              or row["ci_high"] != _fnum(s.ci_high)):
-            problems.append(
-                f"{name}: summary.csv disagrees with recomputation "
-                f"({row['value']} vs {_fnum(s.value)})")
+        problems += [f"{name}: row {','.join(got)!r} disagrees with the "
+                     f"recomputed {','.join(want)!r}"
+                     for got, want in zip(rows, expected) if got != want]
+        if len(rows) != len(expected):
+            problems.append(f"{name}: {len(rows)} rows, the recomputation "
+                            f"has {len(expected)}")
 
     import xml.etree.ElementTree as ET
     for name in (FIG_TRAJ_FILE, FIG_ENTROPY_FILE):

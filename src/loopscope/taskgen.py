@@ -368,19 +368,3 @@ def write_benchmark_jsonl(bench: Benchmark, path) -> None:
             rec = item_to_record(item, bench.permutations_for(item))
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
-
-def read_benchmark_jsonl(path) -> list:
-    """Items + their permutation tables, as (QuestionItem, [PermutedItem])."""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
-            item = QuestionItem(
-                item_id=rec["item_id"], stem_tokens=rec["stem_tokens"],
-                options=rec["options"], similarities=rec["similarities"],
-                correct_index=rec["correct_index"], variant=rec["variant"],
-                query_attr=rec["query_attr"], target_value=rec["target_value"])
-            perms = [PermutedItem(item=item, perm=tuple(p), perm_index=i)
-                     for i, p in enumerate(rec["permutations"])]
-            out.append((item, perms))
-    return out

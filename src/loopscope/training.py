@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LoopedModelParams, deliberate, loss_and_grads
+from .model import CHUNK_ROWS, LoopedModelParams, deliberate, loss_and_grads
 from .taskgen import SyntheticWorld, render_tokens
 
 
@@ -35,6 +35,12 @@ class TrainConfig:
         self.depth_support = tuple(self.depth_support)
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
+        if self.batch_size < 1 or self.warmup_steps < 0:
+            raise ValueError("batch_size must be >= 1, warmup_steps >= 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0
+                and self.weight_decay >= 0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1), eps > 0 "
+                             "and weight_decay >= 0")
         if self.lr_decay not in ("none", "cosine"):
             raise ValueError("lr_decay must be 'none' or 'cosine'")
 
@@ -145,10 +151,11 @@ def encode_dataset(permuted_items, world: SyntheticWorld):
 
 
 def evaluate_accuracy(params: LoopedModelParams, permuted_items, world: SyntheticWorld,
-                      depths, batch_size: int = 512) -> dict:
+                      depths) -> dict:
     """{depth: fraction of items whose argmax over the 4 option tokens at
     that recurrence depth is the correct option}, every depth read from one
-    unroll to the deepest. NoCorrect items are rejected."""
+    unroll to the deepest, in chunks of CHUNK_ROWS items. NoCorrect items
+    are rejected."""
     if not permuted_items:
         raise ValueError("empty item list")
     depths = list(depths)
@@ -159,8 +166,8 @@ def evaluate_accuracy(params: LoopedModelParams, permuted_items, world: Syntheti
     correct = np.array([p.correct_index for p in permuted_items])
     steps = np.array(depths) - 1
     hits = np.zeros(len(depths), dtype=np.int64)
-    for lo in range(0, len(permuted_items), batch_size):
-        hi = min(lo + batch_size, len(permuted_items))
+    for lo in range(0, len(permuted_items), CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, len(permuted_items))
         probs = deliberate(tokens[lo:hi], params, max(depths))
         opt = probs[steps[:, None, None], np.arange(hi - lo)[:, None],
                     option_ids[lo:hi]]

@@ -37,7 +37,12 @@ from loopscope.model import (
     loss_and_grads,
     run_deliberation,
 )
-from loopscope.pipeline import ExperimentConfig, run_experiment, verify
+from loopscope.pipeline import (
+    ExperimentConfig,
+    run_experiment,
+    split_stems,
+    verify,
+)
 from loopscope.seeds import derive_seed
 from loopscope.taskgen import RENDER_LEN, render_tokens
 from loopscope.training import TrainConfig, evaluate_accuracy
@@ -79,8 +84,7 @@ def experiment(tmp_path_factory):
 
 
 def held_out(config, bench, variant):
-    stems = bench.stems()
-    train_ids = {s.item_id for s in stems[:len(stems) - config.holdout_stems]}
+    train_ids = set(split_stems(config, bench))
     return [p for it in bench.items
             if it.variant == variant and it.item_id not in train_ids
             for p in bench.permutations_for(it)]

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from loopscope.cli import main as cli_main
 from loopscope.pipeline import (
+    CURVES_FILE,
     MANIFEST_FILE,
     OUTPUT_FILES,
     RANKS_FILE,
@@ -31,7 +34,7 @@ def tiny_config(out, seed=0):
         d_model=16, n_heads=2, prelude_layers=1, recurrent_layers=1,
         coda_layers=1, k=6,
         train=TrainConfig(epochs=1, batch_size=16, warmup_steps=5),
-        n_resamples=200, trace_batch=64, output_dir=str(out), seed=seed)
+        n_resamples=200, output_dir=str(out), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +85,8 @@ def test_ranks_csv_shape(run):
         ["most_similar", "second_similar", "least_similar", "adopted_correct"]
     # rows are present even when no events were detected
     assert all(int(r["count"]) >= 0 for r in rows)
-    assert sum(int(r["count"]) for r in rows[:3]) <= report.n_events
+    n_events = report.summary["n_backtrack_events_Base"].value
+    assert sum(int(r["count"]) for r in rows[:3]) <= n_events
 
 
 def test_figures_parse_as_xml(run):
@@ -128,16 +132,34 @@ def _set_config(key, value, block=()):
     return edit
 
 
+def _set_file(name, digest=None):
+    """Unlist `name` from the manifest's files, or list it with `digest`."""
+    def edit(manifest):
+        if digest is None:
+            del manifest["files"][name]
+        else:
+            manifest["files"][name] = digest
+        return json.dumps(manifest)
+    return edit
+
+
 @pytest.mark.parametrize("edit,named", [
     (lambda m: json.dumps(m)[:40], "not readable as JSON"),
     (_drop("files"), "lacks 'files'"),
     (_drop("config"), "lacks 'config'"),
     (_set_config("no_such_field", 1), "config rejected"),
     (_set_config("k", 0), "config rejected"),
+    (_set_config("train", "float32"), "config rejected"),
     # a manifest written before TrainConfig.precision was removed
     (_set_config("precision", "float32", ("train",)), "config rejected"),
+    # a manifest written before the trace chunking became a constant
+    (_set_config("trace_batch", 512), "config rejected"),
+    (_set_file(TRAJ_FILE), f'"files" lacks {TRAJ_FILE}'),
+    (_set_file("..", "0" * 64), '"files" lists ..'),
 ], ids=["not_json", "no_files", "no_config", "unknown_config_field",
-        "invalid_config_value", "removed_train_precision"])
+        "invalid_config_value", "train_not_a_config",
+        "removed_train_precision", "removed_trace_batch",
+        "unlisted_output_file", "unknown_file"])
 def test_verify_names_a_malformed_manifest(run, tmp_path, edit, named):
     config, _ = run
     with open(os.path.join(config.output_dir, MANIFEST_FILE)) as f:
@@ -147,6 +169,60 @@ def test_verify_names_a_malformed_manifest(run, tmp_path, edit, named):
     problems = verify(str(tmp_path))
     assert len(problems) == 1 and named in problems[0], problems
     assert cli_main(["verify", "--output-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("name,column", [
+    (SUMMARY_FILE, 1), (RANKS_FILE, 1), (CURVES_FILE, 2), (CURVES_FILE, None),
+], ids=["summary_value", "rank_count", "curve_mean", "curve_row_dropped"])
+def test_verify_recomputes_every_table(run, tmp_path, name, column):
+    """A table rewritten with its hash updated in the manifest fails verify,
+    with a problem that names the file."""
+    config, _ = run
+    out = tmp_path / "run"
+    shutil.copytree(config.output_dir, out)
+    with open(out / name, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    if column is None:
+        rows.pop()
+    else:
+        rows[1][column] = "12345"
+    with open(out / name, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+    manifest = json.loads((out / MANIFEST_FILE).read_text())
+    manifest["files"][name] = hashlib.sha256(
+        (out / name).read_bytes()).hexdigest()
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest))
+    problems = verify(str(out))
+    assert problems and all(p.startswith(f"{name}: ") for p in problems), \
+        problems
+
+
+def test_trace_rows_are_decoded_in_fixed_chunks(tmp_path, monkeypatch):
+    """Every traced row equals `deliberate` on the chunk of CHUNK_ROWS rows,
+    cut in benchmark order, that holds it. The test patches in chunks of 20
+    of 576 rows (8 stems x 3 variants x 24 orders). A row's float32 beliefs
+    depend on the rows decoded with it: with OpenBLAS's SkylakeX kernel,
+    decoding all 576 at once, or chunks cut one row earlier, changes more
+    than 100 rows."""
+    from loopscope import pipeline
+    from loopscope.model import deliberate, init_params
+    from loopscope.taskgen import render_tokens
+    monkeypatch.setattr(pipeline, "CHUNK_ROWS", 20)
+    config = tiny_config(tmp_path)
+    config.n_permutations = 24
+    world, bench = pipeline.stage_gen_bench(config, write=False)
+    params = init_params(config.model_config(len(world.vocab)), seed=5)
+    trajs = pipeline.stage_trace(config, world, bench, params, write=False)
+    perms = [p for it in bench.items for p in bench.permutations_for(it)]
+    assert len(trajs) == len(perms) == 576
+    tokens = np.stack([world.encode(render_tokens(p)) for p in perms])
+    for lo in range(0, len(perms), 20):
+        probs = deliberate(tokens[lo:lo + 20], params, config.k)
+        for j, (t, p) in enumerate(zip(trajs[lo:lo + 20], perms[lo:lo + 20])):
+            assert (t.item_id, t.perm_index) == (p.item.item_id,
+                                                 p.perm_index)
+            assert np.array_equal(t.option_probs,
+                                  probs[:, j, world.encode(p.options)])
 
 
 def test_rerun_is_byte_identical(run, tmp_path):
@@ -181,17 +257,18 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(k=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_stems=5, holdout_stems=5)
+    for bad in (dict(k=0), dict(n_stems=5, holdout_stems=5), dict(tol=0.0),
+                dict(window=0), dict(min_run=0), dict(n_resamples=0),
+                dict(level=0.0), dict(level=1.0), dict(level=1.5)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
 
 def test_known_stems_are_a_seeded_share_of_training_stems(tmp_path):
-    from loopscope.pipeline import _split_stems, known_stems, stage_gen_bench
+    from loopscope.pipeline import known_stems, split_stems, stage_gen_bench
     config = tiny_config(tmp_path, seed=3)
     _, bench = stage_gen_bench(config, write=False)
-    train_ids = _split_stems(config, bench)
+    train_ids = set(split_stems(config, bench))
     known = known_stems(config, bench)
     assert known <= train_ids and len(known) == round(0.5 * len(train_ids))
     assert known_stems(config, bench) == known

@@ -12,7 +12,6 @@ from loopscope.taskgen import (
     generate_item,
     make_variants,
     permute_options,
-    read_benchmark_jsonl,
     render_tokens,
     write_benchmark_jsonl,
 )
@@ -190,12 +189,6 @@ def test_benchmark_jsonl_round_trip(world, tmp_path):
     bench = generate_benchmark(world, n_stems=5, seed=12, n_permutations=3)
     path = tmp_path / "bench.jsonl"
     write_benchmark_jsonl(bench, path)
-    loaded = read_benchmark_jsonl(path)
-    assert len(loaded) == len(bench.items)
-    for (item, perms), orig in zip(loaded, bench.items):
-        assert item == orig
-        assert [p.perm for p in perms] == \
-            [p.perm for p in bench.permutations_for(orig)]
     # writing again produces identical bytes
     path2 = tmp_path / "bench2.jsonl"
     write_benchmark_jsonl(bench, path2)

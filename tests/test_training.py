@@ -72,8 +72,11 @@ def test_lr_schedule_warmup_and_cosine():
     assert opt.lr_at(110) == pytest.approx(0.1)         # floor: 10% of peak
     flat = AdamW(params, TrainConfig(lr=1.0, warmup_steps=10), total_steps=110)
     assert flat.lr_at(60) == pytest.approx(1.0)         # no decay by default
-    with pytest.raises(ValueError):
-        TrainConfig(lr_decay="linear")
+    for bad in (dict(lr_decay="linear"), dict(batch_size=0),
+                dict(warmup_steps=-1), dict(beta1=1.0), dict(beta2=1.0),
+                dict(beta1=-0.1), dict(eps=0.0), dict(weight_decay=-0.01)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_zero_lr_leaves_params_unchanged(world, bench):
@@ -200,7 +203,7 @@ def test_one_unroll_reads_every_depth(world, bench):
     items = [p for it in bench.items if it.variant != "NoCorrect"
              for p in bench.permutations_for(it)][:40]
     depths = (3, 1, cfg.k_max)
-    accs = evaluate_accuracy(params, items, world, depths, batch_size=16)
+    accs = evaluate_accuracy(params, items, world, depths)
     assert list(accs) == list(depths)
     for d in depths:
         assert accs[d] == evaluate_accuracy(params, items, world, (d,))[d]
