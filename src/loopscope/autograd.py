@@ -37,7 +37,9 @@ class Tensor2:
 
     def add_grad(self, g: np.ndarray) -> None:
         """Add one contribution to .grad. The first is kept as given, so it
-        must be an array that nothing else holds."""
+        must be an array that nothing else holds: never a workspace buffer
+        (layers.Workspace, GradBuffers), which .grad would alias and the
+        next layer's backward overwrite."""
         if self.grad is None:
             self.grad = g
         else:

@@ -75,8 +75,11 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 #
 # The block on raw arrays: every temporary lives in buffers that the caller
 # allocates. Inference reuses one set of buffers for every layer and step.
-# Training gives each layer application its own copy of the buffers that
-# layer_backward reads, which are its cache, and shares the rest.
+# Training keeps its buffers in a Workspace that the training loop creates
+# once and reuses at every step: each layer application has its own copy of
+# the buffers that layer_backward reads (its cache, which includes the row
+# mean and 1/sigma of both layernorms), and the forward scratch and the
+# backward's GradBuffers are one set that every application shares.
 #
 # One call runs the block for `batch` sequences of n_k positions. It holds the
 # states x of each sequence's last n_x positions and queries the last n_q of
@@ -95,8 +98,11 @@ class KeyBuffers:
         self.n_x = n_x
         self.ln = np.empty((rows, d_model), dtype)
         self.scratch = np.empty((rows, d_model), dtype)
-        self.stat = np.empty((rows, 1), dtype)
+        self.stat = np.empty((rows, 1), dtype)      # per-row 1/sigma of LN1
         self.kv = np.empty((batch, n_k, 2 * d_model), dtype)   # keys | values
+        # LN1's row mean is overwritten by its 1/sigma; a layer cache keeps
+        # it in its own array (see Workspace)
+        self.mean = self.stat
 
 
 class Buffers:
@@ -112,13 +118,15 @@ class Buffers:
         self.mid = np.empty((rows, d_model), dtype)     # state after attention
         self.ln = np.empty((rows, d_model), dtype)      # normed MLP input
         self.proj = np.empty((rows, d_model), dtype)    # sublayer output
-        self.stat = np.empty((rows, 1), dtype)          # per-row mean, variance
+        self.stat = np.empty((rows, 1), dtype)          # per-row 1/sigma of LN2
         self.hidden = np.empty((rows, d_mlp), dtype)    # GELU input
         self.tmp = np.empty((rows, d_mlp), dtype)       # 1 + tanh
-        # GELU's tanh and output overwrite tmp and its input; a layer cache
-        # gives them their own arrays (see stack_forward)
+        # GELU's tanh and output overwrite tmp and its input, and LN2's row
+        # mean is overwritten by its 1/sigma; a layer cache gives them their
+        # own arrays (see Workspace)
         self.t = self.tmp
         self.act = self.hidden
+        self.mean = self.stat
         self.scores = np.empty((batch, n_heads, n_q, n_k), dtype)
         self.smax = np.empty((batch, n_heads, n_q, 1), dtype)
         self.ctx = np.empty((rows, d_model), dtype)     # (batch, n_q, heads, dh)
@@ -134,25 +142,22 @@ class Buffers:
         return block.reshape(batch, n_pos, n_heads, dh).transpose(0, 2, 1, 3)
 
 
-def _normalize(x, out, scratch, stat) -> None:
-    """out = (x - mean) / sqrt(var + eps) row-wise, with stat = 1/sqrt(var + eps)."""
+def layer_norm_into(x, gain, bias, out, scratch, mean, rstd) -> None:
+    """out = gain * (x - mean) / sqrt(var + eps) + bias, row-wise. Leaves
+    the row means in `mean` and 1/sqrt(var + eps) in `rstd`, (rows, 1)
+    columns; `mean` may be `rstd`, which then ends holding 1/sigma."""
     n = x.shape[1]
     # np.mean's arithmetic (sum, then divide) without its Python wrapper
-    np.add.reduce(x, axis=1, keepdims=True, out=stat)
-    stat /= n
-    np.subtract(x, stat, out=out)
+    np.add.reduce(x, axis=1, keepdims=True, out=mean)
+    mean /= n
+    np.subtract(x, mean, out=out)
     np.multiply(out, out, out=scratch)
-    np.add.reduce(scratch, axis=1, keepdims=True, out=stat)
-    stat /= n
-    stat += LN_EPS
-    np.sqrt(stat, out=stat)
-    np.divide(1.0, stat, out=stat)
-    out *= stat
-
-
-def layer_norm_into(x, gain, bias, out, scratch, stat) -> None:
-    """out = gain * (x - mean) / sqrt(var + eps) + bias, row-wise."""
-    _normalize(x, out, scratch, stat)
+    np.add.reduce(scratch, axis=1, keepdims=True, out=rstd)
+    rstd /= n
+    rstd += LN_EPS
+    np.sqrt(rstd, out=rstd)
+    np.divide(1.0, rstd, out=rstd)
+    out *= rstd
     out *= gain
     out += bias
 
@@ -175,19 +180,34 @@ def _gelu(x, t, tmp, out) -> None:
     out *= tmp
 
 
+# Score blocks of at least this many sequences take the softmax's row max as
+# a running np.maximum over the key columns, smaller ones with np.max; both
+# give the same bits. NumPy's max along a short last axis is slow: with 4
+# heads and 9 x 9 scores it took 101 us at batch 32 and 876 us at batch 504,
+# against 25 and 60 us for the running max, whose one call per key costs
+# more at batch 1 (18 us against 8).
+_RUNNING_MAX_BATCH = 8
+
+
 def _attend(q, k, v, buf: Buffers) -> np.ndarray:
     """Softmax(q k^T / sqrt(dh)) v for (batch, heads, pos, dh) blocks, into
     buf.ctx; returns buf.ctx as (batch*n_q, d_model) rows."""
-    np.matmul(q, k.swapaxes(2, 3), out=buf.scores)
-    buf.scores *= 1.0 / math.sqrt(q.shape[-1])   # a Python float keeps the dtype
+    scores, smax = buf.scores, buf.smax
+    np.matmul(q, k.swapaxes(2, 3), out=scores)
+    scores *= 1.0 / math.sqrt(q.shape[-1])   # a Python float keeps the dtype
     if buf.mask is not None:
-        np.copyto(buf.scores, buf.neg, where=buf.mask)
-    np.max(buf.scores, axis=-1, keepdims=True, out=buf.smax)
-    buf.scores -= buf.smax
-    np.exp(buf.scores, out=buf.scores)
-    np.sum(buf.scores, axis=-1, keepdims=True, out=buf.smax)
-    buf.scores /= buf.smax
-    np.matmul(buf.scores, v, out=buf.heads(buf.ctx, buf.shape[1]))
+        np.copyto(scores, buf.neg, where=buf.mask)
+    if len(scores) >= _RUNNING_MAX_BATCH:
+        np.copyto(smax, scores[..., :1])
+        for j in range(1, scores.shape[-1]):
+            np.maximum(smax, scores[..., j:j + 1], out=smax)
+    else:
+        np.max(scores, axis=-1, keepdims=True, out=smax)
+    scores -= smax
+    np.exp(scores, out=scores)
+    np.sum(scores, axis=-1, keepdims=True, out=smax)
+    scores /= smax
+    np.matmul(scores, v, out=buf.heads(buf.ctx, buf.shape[1]))
     return buf.ctx
 
 
@@ -203,7 +223,7 @@ def keys_values(x: np.ndarray, p: LayerParams, keys: KeyBuffers) -> None:
     d = x.shape[1]
     batch, n_k, _ = keys.kv.shape
     layer_norm_into(x, p.ln1_g.data, p.ln1_b.data, keys.ln, keys.scratch,
-                    keys.stat)
+                    keys.mean, keys.stat)
     np.matmul(keys.ln.reshape(batch, keys.n_x, d), p.w_qkv.data[:, d:],
               out=keys.kv[:, n_k - keys.n_x:])
 
@@ -230,7 +250,7 @@ def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
     np.add(_last(x, batch, n_x, n_q), buf.proj, out=buf.mid)
     # MLP sublayer: W2 gelu(LN2(mid) W1 + b1) + b2
     layer_norm_into(buf.mid, p.ln2_g.data, p.ln2_b.data, buf.ln, buf.proj,
-                    buf.stat)
+                    buf.mean, buf.stat)
     np.matmul(buf.ln, p.w_mlp1.data, out=buf.hidden)
     buf.hidden += p.b_mlp1.data
     _gelu(buf.hidden, buf.t, buf.tmp, buf.act)
@@ -246,99 +266,217 @@ def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
 # adds its gradient into .grad, so a weight that several layer applications
 # share sums their gradients in the order the backward visits them. Products
 # are spelled np.matmul, not @, so a test can watch every operand's dtype.
+# Every activation gradient lives in GradBuffers and is computed in place,
+# with the op sequence, and so the rounding, of the plain formula beside it.
 
 
-def layer_norm_backward(x, gain: Tensor2, bias: Tensor2, g) -> np.ndarray:
-    """Gradient with respect to x of layer_norm(x) given g, the gradient
-    with respect to its output. Adds the affine's gradients into gain.grad
-    and bias.grad. x-hat is recomputed from x with the forward's ops."""
-    xhat, stat = np.empty_like(x), np.empty((x.shape[0], 1), x.dtype)
-    _normalize(x, xhat, np.empty_like(x), stat)
-    gdy = g * gain.data
-    dx = stat * (gdy - gdy.mean(axis=1, keepdims=True)
-                 - xhat * (gdy * xhat).mean(axis=1, keepdims=True))
-    gain.add_grad((g * xhat).sum(axis=0, keepdims=True))
+class NormGrads:
+    """Scratch of layer_norm_backward for `rows` rows of d_model."""
+
+    def __init__(self, rows: int, d_model: int, dtype):
+        self.xhat = np.empty((rows, d_model), dtype)
+        self.gdy = np.empty((rows, d_model), dtype)     # gain * g, then dx
+        self.prod = np.empty((rows, d_model), dtype)
+        self.mean_gdy = np.empty((rows, 1), dtype)
+        self.mean_prod = np.empty((rows, 1), dtype)
+
+
+class GradBuffers(NormGrads):
+    """Backward scratch of whole-sequence layer applications on `batch`
+    sequences of `seq` positions. The backward visits one application at a
+    time, so all of them share one set."""
+
+    def __init__(self, batch: int, seq: int, d_model: int, d_mlp: int,
+                 n_heads: int, dtype):
+        rows = batch * seq
+        super().__init__(rows, d_model, dtype)
+        self.dres = np.empty((rows, d_model), dtype)    # residual stream
+        self.dln = np.empty((rows, d_model), dtype)     # at a layernorm's output
+        self.dctx = np.empty((rows, d_model), dtype)
+        self.dact = np.empty((rows, d_mlp), dtype)      # at GELU's output, then input
+        self.dqkv = np.empty((rows, 3 * d_model), dtype)
+        self.dw = np.empty((batch, n_heads, seq, seq), dtype)   # then dscores
+        self.wdw = np.empty_like(self.dw)
+        self.wdw_sum = np.empty((batch, n_heads, seq, 1), dtype)
+
+
+def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
+                        work: NormGrads | None = None) -> np.ndarray:
+    """Gradient with respect to x of layer_norm_into(x, gain, bias, ...)
+    given g, the gradient with respect to its output, and the row `mean`
+    and 1/sigma (`rstd`) that forward left. Adds the affine's gradients into
+    gain.grad and bias.grad. x-hat is re-formed with the forward's two ops.
+    Returns work.gdy, which the next call on `work` overwrites (work None:
+    fresh NormGrads)."""
+    if work is None:
+        work = NormGrads(*x.shape, x.dtype)
+    n = x.shape[1]
+    xhat, gdy, prod = work.xhat, work.gdy, work.prod
+    np.subtract(x, mean, out=xhat)
+    xhat *= rstd
+    np.multiply(g, xhat, out=prod)
+    gain.add_grad(prod.sum(axis=0, keepdims=True))
     bias.add_grad(g.sum(axis=0, keepdims=True))
-    return dx
+    # dx = rstd * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), gdy = g * gain
+    np.multiply(g, gain.data, out=gdy)
+    np.add.reduce(gdy, axis=1, keepdims=True, out=work.mean_gdy)
+    work.mean_gdy /= n
+    np.multiply(gdy, xhat, out=prod)
+    np.add.reduce(prod, axis=1, keepdims=True, out=work.mean_prod)
+    work.mean_prod /= n
+    gdy -= work.mean_gdy
+    xhat *= work.mean_prod
+    gdy -= xhat
+    gdy *= rstd
+    return gdy
+
+
+def _gelu_backward(dy, x, t, a, b) -> None:
+    """dy *= GELU'(x) in place, given t = tanh(c (x + a x^3)) from the
+    forward: dy * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)).
+    Overwrites x and t; a and b are scratch of their shape."""
+    np.multiply(x, x, out=a)
+    a *= 3.0 * GELU_COEF
+    a += 1.0
+    a *= _SQRT_2_OVER_PI        # derivative of tanh's argument
+    np.multiply(t, t, out=b)
+    np.subtract(1.0, b, out=b)
+    x *= 0.5
+    x *= b
+    x *= a
+    t += 1.0
+    t *= 0.5
+    t += x
+    dy *= t
 
 
 def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
-                   keys: KeyBuffers, buf: Buffers) -> np.ndarray:
+                   keys: KeyBuffers, buf: Buffers,
+                   grads: GradBuffers) -> np.ndarray:
     """Backward of the whole-sequence layer_forward(x, p, keys, buf, out)
     (n_q = n_x = n_k): returns the gradient with respect to x given dout,
     the gradient with respect to out, and adds each weight's gradient into
-    its .grad. keys and buf must still hold that forward's values."""
+    its .grad. keys and buf must still hold that forward's values; the
+    backward overwrites some of them. The result is grads.dres, which dout
+    may be."""
     batch, seq, n_heads, dh = buf.shape
-    # MLP sublayer
-    dmid = dout.copy()
-    p.b_mlp2.add_grad(dout.sum(axis=0, keepdims=True))
-    dact = np.matmul(dout, p.w_mlp2.data.T)
-    p.w_mlp2.add_grad(np.matmul(buf.act.T, dout))
-    h, t = buf.hidden, buf.t
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * (h * h))
-    dh1 = dact * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
-    p.b_mlp1.add_grad(dh1.sum(axis=0, keepdims=True))
-    dln = np.matmul(dh1, p.w_mlp1.data.T)
-    p.w_mlp1.add_grad(np.matmul(buf.ln.T, dh1))
-    dmid += layer_norm_backward(buf.mid, p.ln2_g, p.ln2_b, dln)
+    d = x.shape[1]
+    dres = grads.dres
+    if dout is not dres:
+        np.copyto(dres, dout)
+    # MLP sublayer; buf.act is free once W2's gradient is taken
+    p.b_mlp2.add_grad(dres.sum(axis=0, keepdims=True))
+    np.matmul(dres, p.w_mlp2.data.T, out=grads.dact)
+    p.w_mlp2.add_grad(np.matmul(buf.act.T, dres))
+    _gelu_backward(grads.dact, buf.hidden, buf.t, buf.act, buf.tmp)
+    p.b_mlp1.add_grad(grads.dact.sum(axis=0, keepdims=True))
+    np.matmul(grads.dact, p.w_mlp1.data.T, out=grads.dln)
+    p.w_mlp1.add_grad(np.matmul(buf.ln.T, grads.dact))
+    dres += layer_norm_backward(buf.mid, buf.mean, buf.stat, p.ln2_g,
+                                p.ln2_b, grads.dln, grads)
 
     # attention sublayer
-    dx = dmid.copy()
-    p.w_out.add_grad(np.matmul(buf.ctx.T, dmid))
-    p.b_out.add_grad(dmid.sum(axis=0, keepdims=True))
-    dctx = buf.heads(np.matmul(dmid, p.w_out.data.T), seq)
-    d = x.shape[1]
+    p.w_out.add_grad(np.matmul(buf.ctx.T, dres))
+    p.b_out.add_grad(dres.sum(axis=0, keepdims=True))
+    np.matmul(dres, p.w_out.data.T, out=grads.dctx)
+    dctx = buf.heads(grads.dctx, seq)
     q = buf.heads(buf.q, seq)
     k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], seq) for i in range(2))
-    w = buf.scores
-    dw = np.matmul(dctx, v.swapaxes(2, 3))
-    dv = np.matmul(w.swapaxes(2, 3), dctx)
-    dscores = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+    dq, dk, dv = (buf.heads(grads.dqkv[:, i * d:(i + 1) * d], seq)
+                  for i in range(3))
+    w, dw = buf.scores, grads.dw
+    np.matmul(dctx, v.swapaxes(2, 3), out=dw)
+    np.matmul(w.swapaxes(2, 3), dctx, out=dv)
+    # dscores = w * (dw - sum(dw * w)) over the keys
+    np.multiply(dw, w, out=grads.wdw)
+    np.add.reduce(grads.wdw, axis=-1, keepdims=True, out=grads.wdw_sum)
+    dw -= grads.wdw_sum
+    dw *= w
     inv_sqrt = 1.0 / math.sqrt(dh)
-    dq = np.matmul(dscores, k) * inv_sqrt
-    dk = np.matmul(dscores.swapaxes(2, 3), q) * inv_sqrt
-
-    def flat(block):
-        return block.transpose(0, 2, 1, 3).reshape(batch * seq, d)
-
-    dqkv = np.concatenate([flat(dq), flat(dk), flat(dv)], axis=1)
-    dln = np.matmul(dqkv, p.w_qkv.data.T)
-    p.w_qkv.add_grad(np.matmul(keys.ln.T, dqkv))
-    dx += layer_norm_backward(x, p.ln1_g, p.ln1_b, dln)
-    return dx
+    np.matmul(dw, k, out=dq)
+    dq *= inv_sqrt
+    np.matmul(dw.swapaxes(2, 3), q, out=dk)
+    dk *= inv_sqrt
+    np.matmul(grads.dqkv, p.w_qkv.data.T, out=grads.dln)
+    p.w_qkv.add_grad(np.matmul(keys.ln.T, grads.dqkv))
+    dres += layer_norm_backward(x, keys.mean, keys.stat, p.ln1_g, p.ln1_b,
+                                grads.dln, grads)
+    return dres
 
 
-# the Buffers arrays that layer_backward reads; a cache gives GELU's tanh (t)
-# and output (act) their own arrays instead of the scratch and its input
-_CACHED = ("q", "scores", "ctx", "mid", "ln", "hidden", "t", "act")
+# the arrays of a layer application's cache, which layer_backward reads:
+# its own copies of these Buffers and KeyBuffers fields
+_CACHED = ("q", "scores", "ctx", "mid", "ln", "mean", "stat", "hidden", "t",
+           "act")
+_CACHED_KEYS = ("ln", "mean", "stat", "kv")
 
 
-def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int):
+class Workspace:
+    """The buffers of whole-sequence training steps, for a caller that
+    keeps them from step to step: the output and cache of each layer
+    application, made when a step first needs them, the forward scratch
+    that all applications share (Buffers.tmp, .proj and .smax,
+    KeyBuffers.scratch) and one GradBuffers. A step overwrites the previous
+    step's states and caches. A step whose batch shape, width or dtype
+    differs from the previous step's starts over with new buffers; in
+    training that is an epoch's smaller last batch and the step after it."""
+
+    def __init__(self):
+        self.key = None
+
+    def prepare(self, x: np.ndarray, seq: int, d_mlp: int, n_heads: int,
+                n_layers: int) -> None:
+        """Buffers for n_layers applications to the (batch*seq, d_model)
+        rows x."""
+        rows, d = x.shape
+        key = (rows, seq, d, d_mlp, n_heads, x.dtype)
+        if key != self.key:
+            batch = rows // seq
+            self.key = key
+            self.keys = KeyBuffers(batch, seq, seq, d, x.dtype)
+            self.buf = Buffers(batch, seq, seq, d, d_mlp, n_heads, x.dtype)
+            self.grads = GradBuffers(batch, seq, d, d_mlp, n_heads, x.dtype)
+            self.outs, self.caches = [], []
+        while len(self.caches) < n_layers:
+            keys, buf = copy.copy(self.keys), copy.copy(self.buf)
+            for obj, names in ((keys, _CACHED_KEYS), (buf, _CACHED)):
+                for name in names:
+                    setattr(obj, name, np.empty_like(getattr(obj, name)))
+            self.caches.append((keys, buf))
+            self.outs.append(np.empty_like(x))
+
+
+def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int,
+                  workspace: Workspace | None = None):
     """Whole-sequence layer_forward of (batch*seq, d_model) rows through
     `layers`. Returns the states (the input first, the output last) and the
-    per-layer caches that stack_backward reads. Each layer application has
-    its own copy of what layer_backward reads; the scratch it does not read
-    (Buffers.tmp, .proj, .stat and .smax, KeyBuffers.scratch and .stat) is
-    one set that every application shares."""
-    rows, d = x.shape
-    shared_keys = KeyBuffers(rows // seq, seq, seq, d, x.dtype)
-    shared = Buffers(rows // seq, seq, seq, d, layers[0].w_mlp1.data.shape[1],
-                     n_heads, x.dtype)
+    per-layer caches that stack_backward reads, both held by `workspace`
+    (a fresh Workspace when None)."""
+    if workspace is None:
+        workspace = Workspace()
+    workspace.prepare(x, seq, layers[0].w_mlp1.data.shape[1], n_heads,
+                      len(layers))
     states, caches = [x], []
-    for p in layers:
-        keys, buf = copy.copy(shared_keys), copy.copy(shared)
-        keys.ln, keys.kv = np.empty_like(keys.ln), np.empty_like(keys.kv)
-        for name in _CACHED:
-            setattr(buf, name, np.empty_like(getattr(shared, name)))
-        states.append(np.empty_like(x))
-        layer_forward(states[-2], p, keys, buf, states[-1])
+    for p, (keys, buf), out in zip(layers, workspace.caches, workspace.outs):
+        layer_forward(states[-1], p, keys, buf, out)
+        states.append(out)
         caches.append((p, keys, buf))
     return states, caches
 
 
-def stack_backward(dout: np.ndarray, states, caches) -> np.ndarray:
+def stack_backward(dout: np.ndarray, states, caches,
+                   workspace: Workspace | None = None) -> np.ndarray:
     """Gradient with respect to the input of stack_forward, given dout with
-    respect to its output; each weight's gradient goes into its .grad."""
+    respect to its output; each weight's gradient goes into its .grad. The
+    scratch, and the returned array, are the GradBuffers of `workspace`,
+    the one stack_forward filled (fresh ones when None)."""
+    if workspace is None:
+        buf = caches[0][2]
+        batch, seq, n_heads, dh = buf.shape
+        grads = GradBuffers(batch, seq, n_heads * dh, buf.hidden.shape[1],
+                            n_heads, dout.dtype)
+    else:
+        grads = workspace.grads
     for x, (p, keys, buf) in zip(reversed(states[:-1]), reversed(caches)):
-        dout = layer_backward(dout, x, p, keys, buf)
+        dout = layer_backward(dout, x, p, keys, buf, grads)
     return dout

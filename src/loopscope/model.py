@@ -17,6 +17,7 @@ from .autograd import NumericError, ShapeError, Tensor2
 from .layers import (
     Buffers,
     KeyBuffers,
+    Workspace,
     init_layer,
     keys_values,
     layer_forward,
@@ -173,16 +174,20 @@ def cross_entropy(logits: np.ndarray, targets):
     return loss, dlogits
 
 
-def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int) -> float:
+def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int,
+                   workspace: Workspace | None = None) -> float:
     """Training loss at recurrence depth k, with its full backward.
 
     Runs embed -> prelude -> k recurrent steps -> coda -> final norm -> tied
     LM head at the last position of each sequence, and returns the mean
     cross-entropy against `targets`. Every weight's gradient is added into
     its .grad, through all k steps (full unroll, no truncation). Each layer
-    application keeps its own copy of what its backward reads, and a
-    reverse loop over them is the backward pass. Raises NumericError,
-    before the backward, on a non-finite loss."""
+    application keeps its own cache of what its backward reads, with the
+    row mean and 1/sigma of both its layernorms, and a reverse loop over
+    them is the backward pass. The caches and the backward's scratch live
+    in `workspace`, a layers.Workspace that a training loop keeps across
+    steps (None: a fresh one). Raises NumericError, before the backward, on
+    a non-finite loss."""
     cfg = params.config
     if not 1 <= k <= cfg.k_max:
         raise ValueError(f"recurrence depth k={k} must lie in 1..{cfg.k_max}")
@@ -192,12 +197,16 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int) -> float:
     h = np.take(emb, ids.reshape(-1), axis=0)
     h.reshape(batch, seq, cfg.d_model)[...] += params.pos.data[:seq]
 
+    if workspace is None:
+        workspace = Workspace()
     states, caches = stack_forward(
-        h, params.prelude + params.recurrent * k + params.coda, cfg.n_heads, seq)
+        h, params.prelude + params.recurrent * k + params.coda, cfg.n_heads,
+        seq, workspace)
     top = states[-1]
-    normed, stat = np.empty_like(top), np.empty((len(top), 1), top.dtype)
+    normed = np.empty_like(top)
+    mean, rstd = (np.empty((len(top), 1), top.dtype) for _ in range(2))
     layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
-                    normed, np.empty_like(top), stat)
+                    normed, np.empty_like(top), mean, rstd)
     last = np.arange(batch) * seq + (seq - 1)
     answer = normed[last]
     loss, dlogits = cross_entropy(np.matmul(answer, emb.T), targets)
@@ -207,8 +216,9 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int) -> float:
     dnormed = np.zeros_like(normed)
     np.add.at(dnormed, last, np.matmul(dlogits, emb))
     params.embedding.add_grad(np.matmul(dlogits.T, answer))
-    dh = layer_norm_backward(top, params.final_ln_g, params.final_ln_b, dnormed)
-    dh = stack_backward(dh, states, caches)
+    dh = layer_norm_backward(top, mean, rstd, params.final_ln_g,
+                             params.final_ln_b, dnormed, workspace.grads)
+    dh = stack_backward(dh, states, caches, workspace)
     # the input's two row gathers scatter-add into zeros, then into .grad,
     # where the embedding already holds the head's gradient
     for weight, index in ((params.pos, np.tile(np.arange(seq), batch)),
@@ -313,9 +323,14 @@ def _shard_workers(rows: int, cores: int, blas_threads: int | None) -> int:
     return max(1, min(cores, rows // _SHARD_ROWS))
 
 
-def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
+def deliberate(tokens, params: LoopedModelParams, k: int,
+               steps=None) -> np.ndarray:
     """Decoded beliefs p_i = softmax(C(h_i)) at the answer position after
     every recurrence step i = 1..k, as a (k, batch, vocab) float64 block.
+    With `steps`, a nonempty list of steps in 1..k, only those are decoded:
+    row j of the (len(steps), batch, vocab) result is p at step steps[j],
+    bit for bit the row of the full block. The recurrent block then runs to
+    the deepest of them, and the coda, final norm and softmax only at them.
 
     Inference keeps no cache for a backward: the activation buffers are
     allocated once and reused by every layer and step. It computes in the
@@ -345,21 +360,26 @@ def deliberate(tokens, params: LoopedModelParams, k: int) -> np.ndarray:
     were checked bit-identical to one shard's with OpenBLAS 0.3.31 on 1
     thread under its SkylakeX and Haswell kernels.
     """
-    return _deliberate(tokens, params, k, _usable_cores(), _BLAS_THREADS)
+    return _deliberate(tokens, params, k, _usable_cores(), _BLAS_THREADS,
+                       steps)
 
 
 def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,
-                blas_threads: int | None) -> np.ndarray:
+                blas_threads: int | None, steps=None) -> np.ndarray:
     """`deliberate` in _shard_workers(batch, cores, blas_threads) shards."""
     cfg = params.config
     if k < 1:
         raise ValueError("k must be >= 1 (decoding starts at step 1)")
     if k > cfg.k_max:
         raise ValueError(f"k {k} exceeds k_max {cfg.k_max}")
+    steps = list(range(1, k + 1)) if steps is None else [int(s) for s in steps]
+    if not steps or min(steps) < 1 or max(steps) > k:
+        raise ValueError(f"steps must be a nonempty list of steps in 1..{k}")
+    decoded = sorted(set(steps))
     ids = _check_tokens(tokens, cfg)
     batch = len(ids)
     p_len, prefixes, group = shared_prefix(ids)
-    probs = np.empty((k, batch, cfg.vocab_size))
+    probs = np.empty((len(decoded), batch, cfg.vocab_size))
     # shard s starts at the multiple of _SHARD_ROWS at or below s * batch / n;
     # n <= batch / _SHARD_ROWS, so every shard gets at least _SHARD_ROWS rows
     n = _shard_workers(batch, cores, blas_threads)
@@ -370,7 +390,7 @@ def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,
     def shard(lo, hi):
         try:
             _beliefs(ids[lo:hi], p_len, prefixes, group[lo:hi], params,
-                     probs[:, lo:hi], errors)
+                     decoded, probs[:, lo:hi], errors)
         except Exception as exc:         # raised on the calling thread below
             errors.append(exc)
 
@@ -389,14 +409,17 @@ def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,
         raise
     if errors:
         raise errors[0]
+    if decoded != steps:
+        probs = probs[np.searchsorted(decoded, steps)]
     return probs
 
 
 def _beliefs(ids, p_len, prefixes, group, params: LoopedModelParams,
-             probs: np.ndarray, stop: list) -> None:
-    """The kernel of `deliberate`: the (k, batch, vocab) beliefs of the token
-    rows `ids`, whose first p_len tokens are prefixes[group], into probs,
-    one step at a time. Returns early once `stop` is nonempty."""
+             steps: list, probs: np.ndarray, stop: list) -> None:
+    """The kernel of `deliberate`: the (len(steps), batch, vocab) beliefs of
+    the token rows `ids`, whose first p_len tokens are prefixes[group], at
+    the ascending recurrence steps `steps`, into probs, one step at a time.
+    Returns early once `stop` is nonempty."""
     cfg = params.config
     batch, seq = ids.shape
     emb = params.embedding.data
@@ -435,20 +458,23 @@ def _beliefs(ids, p_len, prefixes, group, params: LoopedModelParams,
     coda_pre, coda = np.empty_like(pre_h), np.empty_like(h)
     top = np.empty((batch, d), dtype)
     logits = np.empty((batch, cfg.vocab_size), dtype)
-    for i in range(len(probs)):
+    rows = {step: j for j, step in enumerate(steps)}     # step -> probs row
+    for step in range(1, steps[-1] + 1):
         if stop:
             return
         for layer in params.recurrent:
             block(layer, pre_h, h)
+        if step not in rows:
+            continue
         np.copyto(coda_pre, pre_h)
         np.copyto(coda, h)
         for layer in params.coda[:-1]:
             block(layer, coda_pre, coda)
         block(params.coda[-1], coda_pre, coda, out=top)
         layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
-                        ans.ln, ans.proj, ans.stat)
+                        ans.ln, ans.proj, ans.mean, ans.stat)
         np.matmul(ans.ln, emb.T, out=logits)
-        p = probs[i]
+        p = probs[rows[step]]
         p[...] = logits
         if not np.all(np.isfinite(p)):
             raise NumericError("coda produced non-finite logits")

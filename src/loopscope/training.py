@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import Workspace
 from .model import CHUNK_ROWS, LoopedModelParams, deliberate, loss_and_grads
 from .taskgen import SyntheticWorld, render_tokens
 
@@ -118,6 +119,11 @@ class AdamW:
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / bias1
             vhat = self.v[i] / bias2
+            # Under cosine decay lr is an np.float64 (from np.cos), so NumPy
+            # computes this update and the weight decay in float64 before
+            # rounding into the float32 weight; with no decay lr is a Python
+            # float and both stay in float32. An in-place float32 update
+            # would change the cosine runs' weights.
             p.data -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
             if cfg.weight_decay and min(p.data.shape) > 1:
                 p.data -= lr * cfg.weight_decay * p.data
@@ -127,14 +133,16 @@ class AdamW:
             p.grad = None
 
 
-def train_step(params: LoopedModelParams, batch, k: int, optimizer: AdamW) -> float:
+def train_step(params: LoopedModelParams, batch, k: int, optimizer: AdamW,
+               workspace: Workspace | None = None) -> float:
     """One optimizer update on a (tokens, targets) batch at recurrence depth k.
 
     Gradients flow through all k applications of the recurrent block
-    (full unroll, no truncation); see `model.loss_and_grads`."""
+    (full unroll, no truncation); see `model.loss_and_grads`, which keeps
+    its buffers in `workspace` (None: fresh ones)."""
     tokens, targets = batch
     optimizer.zero_grad()
-    loss = loss_and_grads(tokens, targets, params, k)
+    loss = loss_and_grads(tokens, targets, params, k, workspace)
     optimizer.step()
     return loss
 
@@ -154,8 +162,8 @@ def evaluate_accuracy(params: LoopedModelParams, permuted_items, world: Syntheti
                       depths) -> dict:
     """{depth: fraction of items whose argmax over the 4 option tokens at
     that recurrence depth is the correct option}, every depth read from one
-    unroll to the deepest, in chunks of CHUNK_ROWS items. NoCorrect items
-    are rejected."""
+    unroll to the deepest that decodes only those depths, in chunks of
+    CHUNK_ROWS items. NoCorrect items are rejected."""
     if not permuted_items:
         raise ValueError("empty item list")
     depths = list(depths)
@@ -164,13 +172,11 @@ def evaluate_accuracy(params: LoopedModelParams, permuted_items, world: Syntheti
     tokens, _ = encode_dataset(permuted_items, world)
     option_ids = np.stack([world.encode(p.options) for p in permuted_items])
     correct = np.array([p.correct_index for p in permuted_items])
-    steps = np.array(depths) - 1
     hits = np.zeros(len(depths), dtype=np.int64)
     for lo in range(0, len(permuted_items), CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, len(permuted_items))
-        probs = deliberate(tokens[lo:hi], params, max(depths))
-        opt = probs[steps[:, None, None], np.arange(hi - lo)[:, None],
-                    option_ids[lo:hi]]
+        probs = deliberate(tokens[lo:hi], params, max(depths), steps=depths)
+        opt = probs[:, np.arange(hi - lo)[:, None], option_ids[lo:hi]]
         hits += (opt.argmax(axis=2) == correct[lo:hi]).sum(axis=1)
     return {d: int(h) / len(permuted_items) for d, h in zip(depths, hits)}
 
@@ -185,6 +191,7 @@ def train(params: LoopedModelParams, train_items, world: SyntheticWorld,
     k_max = params.config.k_max
     steps_per_epoch = -(-n // config.batch_size)
     optimizer = AdamW(params, config, total_steps=config.epochs * steps_per_epoch)
+    workspace = Workspace()     # every step's layer caches and gradient scratch
     log = TrainLog()
     for epoch in range(config.epochs):
         t0 = time.monotonic()
@@ -194,7 +201,7 @@ def train(params: LoopedModelParams, train_items, world: SyntheticWorld,
             idx = order[lo:lo + config.batch_size]
             k = sample_depth(rng, config, k_max)
             losses.append(train_step(params, (tokens[idx], targets[idx]), k,
-                                     optimizer))
+                                     optimizer, workspace))
         accs = {}
         depths = [d for d in eval_depths if d <= k_max]
         if eval_items and depths:

@@ -58,12 +58,13 @@ def test_fused_ops_grads_match_finite_diff():
         for t in (g, b):
             t.grad = None
         h = np.empty_like(x.data)
-        layer_norm_into(x.data, g.data, b.data, h, np.empty_like(h),
-                        np.empty((6, 1)))
+        mean, rstd = np.empty((6, 1)), np.empty((6, 1))
+        layer_norm_into(x.data, g.data, b.data, h, np.empty_like(h), mean,
+                        rstd)
         loss, dlogits = cross_entropy(h[rows] @ emb.data.T, targets)
         dh = np.zeros_like(h)
         np.add.at(dh, rows, dlogits @ emb.data)
-        dx = layer_norm_backward(x.data, g, b, dh)
+        dx = layer_norm_backward(x.data, mean, rstd, g, b, dh)
         return loss, [dx, g.grad, b.grad, dlogits.T @ h[rows]]
 
     err = finite_diff_check(f, [x, g, b, emb], eps=1e-5, max_coords=12)

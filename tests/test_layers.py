@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from loopscope import layers
 from loopscope.autograd import ShapeError, Tensor2, finite_diff_check
 from loopscope.layers import init_layer, layer_param_count, stack_backward, stack_forward
 from loopscope.model import cross_entropy
@@ -121,3 +124,130 @@ def test_param_count_formula():
     layer = random_layer(21, d=8, d_mlp=16)
     total = sum(t.data.size for _, t in layer.tensors())
     assert total == layer_param_count(8, 16)
+
+
+def test_stack_forward_without_a_workspace_returns_fresh_arrays():
+    """Two calls compare as two results only if they do not share buffers
+    (test_causal_masking_prefix_invariance compares two calls)."""
+    layer = random_layer(22)
+    x = np.random.default_rng(23).normal(size=(8, 8))
+    (s1, c1), (s2, c2) = (stack_forward(x, [layer, layer], 2, 4)
+                          for _ in range(2))
+    for a, b in zip(s1[1:], s2[1:]):
+        assert not np.shares_memory(a, b)
+    for (_, keys1, buf1), (_, keys2, buf2) in zip(c1, c2):
+        for name in layers._CACHED_KEYS:
+            assert not np.shares_memory(getattr(keys1, name),
+                                        getattr(keys2, name))
+        for name in layers._CACHED:
+            assert not np.shares_memory(getattr(buf1, name),
+                                        getattr(buf2, name))
+
+
+def attend_with_np_max(q, k, v, buf):
+    """_attend's ops with the softmax row max taken by np.max."""
+    np.matmul(q, k.swapaxes(2, 3), out=buf.scores)
+    buf.scores *= 1.0 / math.sqrt(q.shape[-1])
+    if buf.mask is not None:
+        np.copyto(buf.scores, buf.neg, where=buf.mask)
+    np.max(buf.scores, axis=-1, keepdims=True, out=buf.smax)
+    buf.scores -= buf.smax
+    np.exp(buf.scores, out=buf.scores)
+    np.sum(buf.scores, axis=-1, keepdims=True, out=buf.smax)
+    buf.scores /= buf.smax
+    np.matmul(buf.scores, v, out=buf.heads(buf.ctx, buf.shape[1]))
+    return buf.ctx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_q", [9, 1])     # causal mask; one query, no mask
+def test_attend_row_max_methods_give_the_same_bits(dtype, n_q, monkeypatch):
+    """Below _RUNNING_MAX_BATCH sequences _attend takes np.max, from it on a
+    running np.maximum; either way, and with the running max forced at every
+    batch, the weights and context match the np.max formula bit for bit."""
+    rng = np.random.default_rng(24)
+    n_k, d, n_heads = 9, 16, 4
+    threshold = layers._RUNNING_MAX_BATCH
+    for batch in (1, threshold - 1, threshold, 3 * threshold + 1):
+        buf = layers.Buffers(batch, n_q, n_k, d, 4 * d, n_heads, dtype)
+        assert (buf.mask is None) == (n_q == 1)
+        q = buf.heads(rng.normal(0, 3, (batch * n_q, d)).astype(dtype), n_q)
+        k, v = (buf.heads(rng.normal(0, 3, (batch, n_k, d)).astype(dtype),
+                          n_k) for _ in range(2))
+        want = attend_with_np_max(q, k, v, buf).copy()
+        want_scores = buf.scores.copy()
+        for forced in (threshold, 1):
+            monkeypatch.setattr(layers, "_RUNNING_MAX_BATCH", forced)
+            buf.ctx[...] = np.nan
+            assert np.array_equal(layers._attend(q, k, v, buf), want)
+            assert np.array_equal(buf.scores, want_scores)
+
+
+def plain_layer_norm_backward(x, gain, bias, g):
+    """The layernorm backward as plain formulas, x-hat recomputed."""
+    mean = x.mean(axis=1, keepdims=True)
+    xc = x - mean
+    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True)
+                               + 1e-5))
+    gdy = g * gain.data
+    dx = (1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)) * (
+        gdy - gdy.mean(axis=1, keepdims=True)
+        - xhat * (gdy * xhat).mean(axis=1, keepdims=True))
+    return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0,
+                                                             keepdims=True)
+
+
+def plain_layer_backward(dout, x, p, keys, buf):
+    """layer_backward as plain formulas that allocate every temporary;
+    returns dx and {weight name: gradient}. Reads the cache, changes
+    nothing."""
+    batch, seq, n_heads, dh = buf.shape
+    d = x.shape[1]
+    grads = {"b_mlp2": dout.sum(axis=0, keepdims=True),
+             "w_mlp2": np.matmul(buf.act.T, dout)}
+    dact = np.matmul(dout, p.w_mlp2.data.T)
+    h, t = buf.hidden, buf.t
+    dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * (h * h))
+    dh1 = dact * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
+    grads["b_mlp1"] = dh1.sum(axis=0, keepdims=True)
+    grads["w_mlp1"] = np.matmul(buf.ln.T, dh1)
+    dln, grads["ln2_g"], grads["ln2_b"] = plain_layer_norm_backward(
+        buf.mid, p.ln2_g, p.ln2_b, np.matmul(dh1, p.w_mlp1.data.T))
+    dmid = dout + dln
+    grads["w_out"] = np.matmul(buf.ctx.T, dmid)
+    grads["b_out"] = dmid.sum(axis=0, keepdims=True)
+    dctx = buf.heads(np.matmul(dmid, p.w_out.data.T), seq)
+    q = buf.heads(buf.q, seq)
+    k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], seq) for i in range(2))
+    w = buf.scores
+    dw = np.matmul(dctx, v.swapaxes(2, 3))
+    dv = np.matmul(w.swapaxes(2, 3), dctx)
+    dscores = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+    dq = np.matmul(dscores, k) * (1.0 / math.sqrt(dh))
+    dk = np.matmul(dscores.swapaxes(2, 3), q) * (1.0 / math.sqrt(dh))
+    dqkv = np.concatenate([b.transpose(0, 2, 1, 3).reshape(batch * seq, d)
+                           for b in (dq, dk, dv)], axis=1)
+    grads["w_qkv"] = np.matmul(keys.ln.T, dqkv)
+    dln, grads["ln1_g"], grads["ln1_b"] = plain_layer_norm_backward(
+        x, p.ln1_g, p.ln1_b, np.matmul(dqkv, p.w_qkv.data.T))
+    return dmid + dln, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_backward_matches_the_plain_formulas_bit_for_bit(dtype):
+    """layer_backward's in-place GELU, softmax and layernorm backward, with
+    x-hat re-formed from the kept mean and 1/sigma, give the bits of the
+    plain formulas."""
+    rng = np.random.default_rng(25)
+    layer = random_layer(26, d=16, d_mlp=64, dtype=dtype)
+    for _, t in layer.tensors():
+        t.data += rng.normal(0.0, 0.3, t.data.shape).astype(dtype)
+    x = rng.normal(size=(6 * 5, 16)).astype(dtype)
+    dout = rng.normal(size=x.shape).astype(dtype)
+    states, caches = stack_forward(x, [layer], n_heads=4, seq=5)
+    want_dx, want = plain_layer_backward(dout, x, *caches[0])
+    got_dx = stack_backward(dout, states, caches)
+    assert got_dx.dtype == dtype
+    assert np.array_equal(got_dx, want_dx)
+    for name, t in layer.tensors():
+        assert np.array_equal(t.grad, want[name]), name

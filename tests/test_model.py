@@ -400,6 +400,31 @@ def test_sharded_deliberate_is_bit_identical_to_one_shard(name, dtype):
     assert np.abs(np.diff(one, axis=0)).max() > 1e-3
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_deliberate_decodes_only_the_given_steps(cores):
+    """deliberate(..., steps=S) is rows S - 1 of the full block, bit for
+    bit, in one shard and in two."""
+    tokens, _ = SHARD_BATCHES["shuffled-stems"]
+    assert len(tokens) >= 2 * ROWS
+    params = moved_params(np.float32, SCFG)
+    k = SCFG.k_max
+    assert model._shard_workers(len(tokens), cores, 1) == cores
+    full = model._deliberate(tokens, params, k, cores, 1)
+    for steps in ([k], [1, 3], [3, 1, 3], [2], range(1, k + 1)):
+        got = model._deliberate(tokens, params, k, cores, 1, steps=steps)
+        assert np.array_equal(got, full[np.array(steps) - 1])
+    assert np.array_equal(deliberate(tokens, params, k - 1, steps=[2, 3]),
+                          full[[1, 2]])
+
+
+def test_deliberate_rejects_steps_outside_one_to_k():
+    params = moved_params(np.float32, SCFG)
+    tokens = np.arange(2 * SCFG.max_seq).reshape(2, -1)
+    for steps in ([], [0], [1, 3, 4], [-1]):
+        with pytest.raises(ValueError):
+            deliberate(tokens, params, 3, steps=steps)
+
+
 def test_more_shards_than_cores_are_bit_identical_and_leave_no_threads():
     tokens = stems_batch(13, [24] * 20, SCFG.max_seq, 4, SCFG.vocab_size)
     params = moved_params(np.float32, SCFG)
@@ -444,13 +469,13 @@ def test_an_interrupt_while_joining_stops_the_workers(monkeypatch):
     interrupt comes; the workers must see it, stop and be joined."""
     beliefs, saw_stop = model._beliefs, []
 
-    def worker_waits(ids, p_len, prefixes, group, params, probs, stop):
+    def worker_waits(ids, p_len, prefixes, group, params, steps, probs, stop):
         if threading.current_thread() is not threading.main_thread():
             deadline = time.monotonic() + 10
             while not stop and time.monotonic() < deadline:
                 time.sleep(0.005)
             saw_stop.append(bool(stop))
-        beliefs(ids, p_len, prefixes, group, params, probs, stop)
+        beliefs(ids, p_len, prefixes, group, params, steps, probs, stop)
 
     class InterruptedJoin(threading.Thread):
         interrupted = False
@@ -481,9 +506,9 @@ def test_shards_are_contiguous_from_multiples_of_the_floor(monkeypatch):
     kernels (not every one) show; check the placement itself."""
     beliefs, seen = model._beliefs, []
 
-    def spy(ids, p_len, prefixes, group, params, probs, stop):
+    def spy(ids, p_len, prefixes, group, params, steps, probs, stop):
         seen.append(len(ids))
-        beliefs(ids, p_len, prefixes, group, params, probs, stop)
+        beliefs(ids, p_len, prefixes, group, params, steps, probs, stop)
 
     monkeypatch.setattr(model, "_beliefs", spy)
     tokens, _ = SHARD_BATCHES["no-common-prefix"]     # 3 * ROWS + 7 rows

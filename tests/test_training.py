@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopscope import training
 from loopscope.autograd import NumericError, finite_diff_check
 from loopscope.model import LoopedConfig, init_params, loss_and_grads
 from loopscope.taskgen import PermutedItem, build_world, generate_benchmark
@@ -77,6 +78,90 @@ def test_lr_schedule_warmup_and_cosine():
                 dict(beta1=-0.1), dict(eps=0.0), dict(weight_decay=-0.01)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("decay", ["none", "cosine"])
+def test_adamw_step_matches_hand_computation(decay):
+    """One AdamW step, bit for bit. Under cosine decay lr_at returns an
+    np.float64 (from np.cos), and NumPy's promotion rules compute the update
+    and the weight decay in float64 before the float32 weight takes them;
+    without decay the learning rate is a Python float and the step stays in
+    float32."""
+    config = LoopedConfig(vocab_size=8, d_model=4, n_heads=1, prelude_layers=1,
+                          recurrent_layers=1, coda_layers=1, max_seq=4,
+                          k_max=2)
+    params = init_params(config, seed=0)
+    rng = np.random.default_rng(4)
+    for _, t in params.named_tensors():
+        t.data += rng.normal(0.0, 0.5, t.data.shape).astype(np.float32)
+        t.grad = rng.normal(0.0, 1e-3, t.data.shape).astype(np.float32)
+    cfg = TrainConfig(lr=1e-2, warmup_steps=0, weight_decay=0.1,
+                      lr_decay=decay)
+    opt = AdamW(params, cfg, total_steps=10)
+    lr = opt.lr_at(1)
+    assert type(lr) is (np.float64 if decay == "cosine" else float)
+
+    f32, f64 = np.float32, np.float64
+    b1, b2 = cfg.beta1, cfg.beta2
+    want = {}
+    for name, t in params.named_tensors():
+        zeros = np.zeros_like(t.data)
+        m = f32(b1) * zeros + f32(1 - b1) * t.grad
+        v = f32(b2) * zeros + f32(1 - b2) * t.grad * t.grad
+        mhat, vhat = m / f32(1.0 - b1 ** 1), v / f32(1.0 - b2 ** 1)
+        denom = np.sqrt(vhat) + f32(cfg.eps)
+        decays = min(t.data.shape) > 1
+        if decay == "cosine":
+            w = (t.data.astype(f64) - f64(lr) * mhat.astype(f64)
+                 / denom.astype(f64)).astype(f32)
+            if decays:
+                w = (w.astype(f64) - f64(lr) * cfg.weight_decay
+                     * w.astype(f64)).astype(f32)
+        else:
+            w = t.data - f32(lr) * mhat / denom
+            if decays:
+                w = w - f32(lr * cfg.weight_decay) * w
+        assert w.dtype == np.float32
+        want[name] = w
+    opt.step()
+    for name, t in params.named_tensors():
+        assert np.array_equal(t.data, want[name]), name
+
+
+def test_workspace_reuse_is_invisible(world, bench, monkeypatch):
+    """train() keeps one Workspace for all its steps. The same steps, each
+    with a fresh workspace, give the same losses and weights bit for bit,
+    over depths that go up and down and an epoch's smaller last batch."""
+    cfg = small_config(world)
+    items = [p for it in bench.items if it.variant == "Easy"
+             for p in bench.permutations_for(it)][:10]
+    tcfg = TrainConfig(epochs=2, batch_size=4, seed=2, lr=3e-3,
+                       warmup_steps=2, lr_decay="cosine",
+                       depth_support=(1, 2, 3))
+    steps, real = [], training.train_step
+
+    def recording(params, batch, k, optimizer, workspace=None):
+        loss = real(params, batch, k, optimizer, workspace)
+        steps.append((batch, k, loss, workspace))
+        return loss
+
+    monkeypatch.setattr(training, "train_step", recording)
+    reused = init_params(cfg, seed=12)
+    train(reused, items, world, tcfg)
+    monkeypatch.undo()
+
+    ks = [k for _, k, _, _ in steps]
+    assert [len(b[0]) for b, _, _, _ in steps] == [4, 4, 2] * 2
+    assert any(a < b for a, b in zip(ks, ks[1:]))
+    assert any(a > b for a, b in zip(ks, ks[1:]))
+    assert len({id(w) for *_, w in steps}) == 1 and steps[0][3] is not None
+    fresh = init_params(cfg, seed=12)
+    opt = AdamW(fresh, tcfg, total_steps=len(steps))
+    for batch, k, loss, _ in steps:
+        assert train_step(fresh, batch, k, opt) == loss
+    for (name, a), (_, b) in zip(reused.named_tensors(),
+                                 fresh.named_tensors()):
+        assert np.array_equal(a.data, b.data), name
 
 
 def test_zero_lr_leaves_params_unchanged(world, bench):
