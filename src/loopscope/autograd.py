@@ -1,18 +1,16 @@
-"""Weights, shared constants and the finite-difference gradient oracle.
+"""Weights, their error types and the finite-difference gradient oracle.
 
-A weight is a row-major (rows, cols) float array with a gradient slot. The
-backward passes in `layers` and `model` add each weight's gradient into
-that slot; `finite_diff_check` compares those gradients against central
-differences. float64 is used for gradient checking, float32 for training.
+A weight (`Tensor2`) is a row-major (rows, cols) float array with a
+gradient slot. The backward passes in `layers` and `model` add each
+weight's gradient into that slot; `finite_diff_check` compares those
+gradients against central differences. `NumericError` and `ShapeError`
+name non-finite values and mismatched shapes. float64 is used for gradient
+checking, float32 for training.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-GELU_COEF = 0.044715    # cubic term of the tanh-form GELU
-LN_EPS = 1e-5           # layernorm variance floor
 
 
 class NumericError(ValueError):

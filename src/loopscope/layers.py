@@ -9,7 +9,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autograd import GELU_COEF, LN_EPS, ShapeError, Tensor2
+from .autograd import ShapeError, Tensor2
+
+GELU_COEF = 0.044715    # cubic term of the tanh-form GELU
+LN_EPS = 1e-5           # layernorm variance floor
 
 
 @dataclass
@@ -301,15 +304,12 @@ class GradBuffers(NormGrads):
 
 
 def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
-                        work: NormGrads | None = None) -> np.ndarray:
+                        work: NormGrads) -> np.ndarray:
     """Gradient with respect to x of layer_norm_into(x, gain, bias, ...)
     given g, the gradient with respect to its output, and the row `mean`
     and 1/sigma (`rstd`) that forward left. Adds the affine's gradients into
     gain.grad and bias.grad. x-hat is re-formed with the forward's two ops.
-    Returns work.gdy, which the next call on `work` overwrites (work None:
-    fresh NormGrads)."""
-    if work is None:
-        work = NormGrads(*x.shape, x.dtype)
+    Returns work.gdy, which the next call on `work` overwrites."""
     n = x.shape[1]
     xhat, gdy, prod = work.xhat, work.gdy, work.prod
     np.subtract(x, mean, out=xhat)
@@ -447,13 +447,10 @@ class Workspace:
 
 
 def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int,
-                  workspace: Workspace | None = None):
+                  workspace: Workspace):
     """Whole-sequence layer_forward of (batch*seq, d_model) rows through
     `layers`. Returns the states (the input first, the output last) and the
-    per-layer caches that stack_backward reads, both held by `workspace`
-    (a fresh Workspace when None)."""
-    if workspace is None:
-        workspace = Workspace()
+    per-layer caches that stack_backward reads, both held by `workspace`."""
     workspace.prepare(x, seq, layers[0].w_mlp1.data.shape[1], n_heads,
                       len(layers))
     states, caches = [x], []
@@ -465,18 +462,11 @@ def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int,
 
 
 def stack_backward(dout: np.ndarray, states, caches,
-                   workspace: Workspace | None = None) -> np.ndarray:
+                   workspace: Workspace) -> np.ndarray:
     """Gradient with respect to the input of stack_forward, given dout with
     respect to its output; each weight's gradient goes into its .grad. The
     scratch, and the returned array, are the GradBuffers of `workspace`,
-    the one stack_forward filled (fresh ones when None)."""
-    if workspace is None:
-        buf = caches[0][2]
-        batch, seq, n_heads, dh = buf.shape
-        grads = GradBuffers(batch, seq, n_heads * dh, buf.hidden.shape[1],
-                            n_heads, dout.dtype)
-    else:
-        grads = workspace.grads
+    the one stack_forward filled."""
     for x, (p, keys, buf) in zip(reversed(states[:-1]), reversed(caches)):
-        dout = layer_backward(dout, x, p, keys, buf, grads)
+        dout = layer_backward(dout, x, p, keys, buf, workspace.grads)
     return dout

@@ -18,27 +18,43 @@ from .seeds import derive_seed
 KL_FLOOR = 1e-12
 
 
-def entropy(dist) -> float:
-    """Shannon entropy in nats, with 0*ln(0) = 0."""
-    p = np.asarray(dist, dtype=np.float64).reshape(-1)
+def _check_dists(p: np.ndarray) -> None:
+    """Raise unless every row of p is nonnegative and sums to 1 within 1e-4."""
     if np.any(p < 0):
         raise ValueError("negative probability")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-4:
-        raise ValueError(f"distribution sums to {total}, not 1")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    totals = p.sum(axis=1)
+    off = np.abs(totals - 1.0) > 1e-4
+    if off.any():
+        raise ValueError(f"distribution sums to {totals[off.argmax()]}, not 1")
+
+
+def _xlogx_rows(p: np.ndarray) -> np.ndarray:
+    """Row sums of p ln p over the entries p > 0 (so 0 ln 0 = 0)."""
+    pos = p > 0
+    return (np.where(pos, p, 0.0) * np.log(np.where(pos, p, 1.0))).sum(axis=1)
+
+
+def _kl_rows(nxt: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Row sums of KL(nxt || prev), prev floored at KL_FLOOR; entries with
+    nxt = 0 contribute 0."""
+    prev = np.maximum(prev, KL_FLOOR)
+    return (nxt * np.log(np.where(nxt > 0, nxt, 1.0) / prev)).sum(axis=1)
+
+
+def entropy(dist) -> float:
+    """Shannon entropy in nats, with 0*ln(0) = 0."""
+    p = np.asarray(dist, dtype=np.float64).reshape(1, -1)
+    _check_dists(p)
+    return float(-_xlogx_rows(p)[0])
 
 
 def step_kl(p_next, p_prev) -> float:
     """KL(p_next || p_prev) in nats; p_prev is floored at 1e-12."""
-    a = np.asarray(p_next, dtype=np.float64).reshape(-1)
-    b = np.asarray(p_prev, dtype=np.float64).reshape(-1)
+    a = np.asarray(p_next, dtype=np.float64).reshape(1, -1)
+    b = np.asarray(p_prev, dtype=np.float64).reshape(1, -1)
     if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    b = np.maximum(b, KL_FLOOR)
-    nz = a > 0
-    return float((a[nz] * np.log(a[nz] / b[nz])).sum())
+        raise ValueError(f"dimension mismatch {a.shape[1]} vs {b.shape[1]}")
+    return float(_kl_rows(a, b)[0])
 
 
 def exploration_end(kl_series, tol: float = 0.01, window: int = 3):
@@ -137,12 +153,6 @@ class BeliefTrajectory:
         return self.correct_index is not None and self.final_answer == self.correct_index
 
 
-def _xlogx_rows(p: np.ndarray) -> np.ndarray:
-    """Row sums of p ln p over the entries p > 0 (so 0 ln 0 = 0)."""
-    pos = p > 0
-    return (np.where(pos, p, 0.0) * np.log(np.where(pos, p, 1.0))).sum(axis=1)
-
-
 def belief_trajectory(step_dists, option_token_ids, item_id: str = "",
                       variant: str = "", perm_index: int = 0,
                       correct_index=None, similarities=(), options=()) -> BeliefTrajectory:
@@ -158,23 +168,16 @@ def belief_trajectory(step_dists, option_token_ids, item_id: str = "",
     if full.ndim != 2 or full.shape[0] == 0:
         raise ValueError("at least one step distribution required, as a "
                          "(K, vocab) array")
-    if np.any(full < 0):
-        raise ValueError("negative probability")
-    totals = full.sum(axis=1)
-    off = np.abs(totals - 1.0) > 1e-4
-    if off.any():
-        raise ValueError(f"distribution sums to {totals[off.argmax()]}, not 1")
+    _check_dists(full)
     option_probs = full[:, ids]
     renorm = option_probs / option_probs.sum(axis=1, keepdims=True)
-    nxt, prev = full[1:], np.maximum(full[:-1], KL_FLOOR)
     return BeliefTrajectory(
         item_id=item_id, variant=variant, perm_index=perm_index,
         k=full.shape[0], option_probs=option_probs,
         full_entropy=-_xlogx_rows(full),
         renorm_entropy=-_xlogx_rows(renorm),
         argmax_series=option_probs.argmax(axis=1),  # ties -> lowest index
-        # KL(p_{i+1} || p_i); terms with p_{i+1} = 0 contribute 0
-        step_kl_series=(nxt * np.log(np.where(nxt > 0, nxt, 1.0) / prev)).sum(axis=1),
+        step_kl_series=_kl_rows(full[1:], full[:-1]),   # KL(p_{i+1} || p_i)
         correct_index=correct_index,
         similarities=list(similarities), options=list(options))
 

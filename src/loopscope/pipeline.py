@@ -87,8 +87,10 @@ class ExperimentConfig:
     recurrent_layers: int = 4
     coda_layers: int = 2
     k: int = 30
-    # training (tuned for the 30-minute single-core reference run; see
-    # TrainConfig for the bare optimizer defaults)
+    # training (tuned for the reference run; see TrainConfig for the bare
+    # optimizer defaults). stage_train replaces train.seed with
+    # derive_seed(seed, "train"), so train.seed, which the manifest records,
+    # has no effect
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=2e-3, epochs=24, warmup_steps=100, lr_decay="cosine"))
     # metrics

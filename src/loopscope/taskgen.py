@@ -162,10 +162,6 @@ class PermutedItem:
         return self.perm.index(self.item.correct_index)
 
 
-def _matching(world: SyntheticWorld, attr: str, value: str):
-    return [e for e in world.all_entities if world.facts[(e, attr)] == value]
-
-
 def generate_item(world: SyntheticWorld, rng: np.random.Generator,
                   two_hop: bool = False) -> QuestionItem:
     """One Base-variant item; raises if the world can't supply distractors."""

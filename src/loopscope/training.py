@@ -20,7 +20,6 @@ from .taskgen import SyntheticWorld, render_tokens
 
 @dataclass
 class TrainConfig:
-    depth_support: tuple = ()     # empty -> uniform over {1..k_max}
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.95
@@ -33,7 +32,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.depth_support = tuple(self.depth_support)
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1 or self.warmup_steps < 0:
@@ -44,14 +42,6 @@ class TrainConfig:
                              "and weight_decay >= 0")
         if self.lr_decay not in ("none", "cosine"):
             raise ValueError("lr_decay must be 'none' or 'cosine'")
-
-    def resolved_support(self, k_max: int) -> tuple:
-        support = self.depth_support or tuple(range(1, k_max + 1))
-        if not support:
-            raise ValueError("empty depth support")
-        if any(k < 1 or k > k_max for k in support):
-            raise ValueError(f"depth support must lie in 1..{k_max}")
-        return support
 
 
 @dataclass
@@ -72,13 +62,6 @@ class TrainLog:
                 accs = self.depth_accuracies[i] if self.depth_accuracies else {}
                 w.writerow([epoch, f"{self.mean_losses[i]:.10g}"]
                            + [f"{accs[d]:.10g}" for d in depths])
-
-
-def sample_depth(rng: np.random.Generator, config: TrainConfig,
-                 k_max: int = 30) -> int:
-    """Uniform draw from the configured depth support."""
-    support = config.resolved_support(k_max)
-    return int(support[rng.integers(len(support))])
 
 
 class AdamW:
@@ -184,7 +167,8 @@ def evaluate_accuracy(params: LoopedModelParams, permuted_items, world: Syntheti
 def train(params: LoopedModelParams, train_items, world: SyntheticWorld,
           config: TrainConfig, eval_items=None,
           eval_depths=(4, 8, 16, 30)) -> TrainLog:
-    """Deterministic single-threaded training loop over permuted items."""
+    """Deterministic training loop over permuted items, each step at a
+    depth drawn uniformly from 1..k_max."""
     rng = np.random.default_rng(config.seed)
     tokens, targets = encode_dataset(train_items, world)
     n = len(train_items)
@@ -199,7 +183,7 @@ def train(params: LoopedModelParams, train_items, world: SyntheticWorld,
         losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            k = sample_depth(rng, config, k_max)
+            k = int(rng.integers(k_max)) + 1
             losses.append(train_step(params, (tokens[idx], targets[idx]), k,
                                      optimizer, workspace))
         accs = {}

@@ -20,7 +20,12 @@ import pytest
 from loopscope.autograd import Tensor2, finite_diff_check
 from loopscope.checkpoint import load_checkpoint, save_checkpoint
 from loopscope.cli import main as cli_main
-from loopscope.layers import init_layer, stack_backward, stack_forward
+from loopscope.layers import (
+    Workspace,
+    init_layer,
+    stack_backward,
+    stack_forward,
+)
 from loopscope.metrics import (
     aggregate_stats,
     belief_trajectory,
@@ -103,9 +108,10 @@ def test_autodiff_soundness_two_layer_stack_and_unrolled_loop():
     def two_layer():
         for t in weights:
             t.grad = None
-        states, caches = stack_forward(x.data, layers, n_heads=heads, seq=seq)
+        workspace = Workspace()
+        states, caches = stack_forward(x.data, layers, heads, seq, workspace)
         loss, dh = cross_entropy(states[-1], targets)
-        dx = stack_backward(dh, states, caches)
+        dx = stack_backward(dh, states, caches, workspace)
         return loss, [dx] + [t.grad for t in weights]
 
     tensors = [x] + weights

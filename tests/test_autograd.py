@@ -1,8 +1,12 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from loopscope.autograd import Tensor2, finite_diff_check
-from loopscope.layers import layer_norm_backward, layer_norm_into
+from loopscope.layers import NormGrads, layer_norm_backward, layer_norm_into
 from loopscope.model import LoopedConfig, cross_entropy, init_params, loss_and_grads
 from loopscope.training import AdamW, TrainConfig, train_step
 
@@ -64,7 +68,8 @@ def test_fused_ops_grads_match_finite_diff():
         loss, dlogits = cross_entropy(h[rows] @ emb.data.T, targets)
         dh = np.zeros_like(h)
         np.add.at(dh, rows, dlogits @ emb.data)
-        dx = layer_norm_backward(x.data, mean, rstd, g, b, dh)
+        dx = layer_norm_backward(x.data, mean, rstd, g, b, dh,
+                                 NormGrads(6, 8, np.float64))
         return loss, [dx, g.grad, b.grad, dlogits.T @ h[rows]]
 
     err = finite_diff_check(f, [x, g, b, emb], eps=1e-5, max_coords=12)
@@ -107,3 +112,17 @@ def test_float32_activations_stay_float32(monkeypatch):
     assert seen == {np.dtype(np.float32)}
     for name, t in params.named_tensors():
         assert t.data.dtype == t.grad.dtype == np.float32, name
+
+
+def test_every_module_the_benchmark_traces_imports():
+    """perfbench/spans.py resolves each traced name by importing
+    loopscope.<module>, so `perfbench/run.py --trace 1` crashes if one of
+    those modules is gone. The benchmark's file is loaded, not edited."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = sorted({module for module, _ in spans.TRACED.values()})
+    assert modules
+    for module in modules:
+        importlib.import_module(f"loopscope.{module}")

@@ -5,7 +5,13 @@ import pytest
 
 from loopscope import layers
 from loopscope.autograd import ShapeError, Tensor2, finite_diff_check
-from loopscope.layers import init_layer, layer_param_count, stack_backward, stack_forward
+from loopscope.layers import (
+    Workspace,
+    init_layer,
+    layer_param_count,
+    stack_backward,
+    stack_forward,
+)
 from loopscope.model import cross_entropy
 
 
@@ -41,7 +47,7 @@ def naive_layer_forward(x, p, n_heads, causal=True, eps=1e-5):
 
 
 def forward(x, layer, n_heads, seq_len):
-    return stack_forward(x, [layer], n_heads, seq_len)[0][-1]
+    return stack_forward(x, [layer], n_heads, seq_len, Workspace())[0][-1]
 
 
 def random_layer(seed, d=8, d_mlp=16, dtype=np.float64):
@@ -107,12 +113,13 @@ def test_two_layer_stack_gradcheck():
     def f():
         for t in weights:
             t.grad = None
-        states, caches = stack_forward(x.data, [l1, l2], n_heads=2, seq=4)
+        workspace = Workspace()
+        states, caches = stack_forward(x.data, [l1, l2], 2, 4, workspace)
         h = states[-1][[3]]
         loss, dlogits = cross_entropy(h @ emb.data.T, [4])
         dh = np.zeros_like(states[-1])
         dh[3] = dlogits @ emb.data
-        dx = stack_backward(dh, states, caches)
+        dx = stack_backward(dh, states, caches, workspace)
         return loss, [dx, dlogits.T @ h] + [t.grad for t in weights]
 
     err = finite_diff_check(f, [x, emb] + weights, eps=1e-5, max_coords=4,
@@ -126,12 +133,12 @@ def test_param_count_formula():
     assert total == layer_param_count(8, 16)
 
 
-def test_stack_forward_without_a_workspace_returns_fresh_arrays():
-    """Two calls compare as two results only if they do not share buffers
-    (test_causal_masking_prefix_invariance compares two calls)."""
+def test_two_workspaces_share_no_array():
+    """Two calls compare as two results only if their workspaces share no
+    buffer (test_causal_masking_prefix_invariance compares two calls)."""
     layer = random_layer(22)
     x = np.random.default_rng(23).normal(size=(8, 8))
-    (s1, c1), (s2, c2) = (stack_forward(x, [layer, layer], 2, 4)
+    (s1, c1), (s2, c2) = (stack_forward(x, [layer, layer], 2, 4, Workspace())
                           for _ in range(2))
     for a, b in zip(s1[1:], s2[1:]):
         assert not np.shares_memory(a, b)
@@ -244,9 +251,10 @@ def test_in_place_backward_matches_the_plain_formulas_bit_for_bit(dtype):
         t.data += rng.normal(0.0, 0.3, t.data.shape).astype(dtype)
     x = rng.normal(size=(6 * 5, 16)).astype(dtype)
     dout = rng.normal(size=x.shape).astype(dtype)
-    states, caches = stack_forward(x, [layer], n_heads=4, seq=5)
+    workspace = Workspace()
+    states, caches = stack_forward(x, [layer], 4, 5, workspace)
     want_dx, want = plain_layer_backward(dout, x, *caches[0])
-    got_dx = stack_backward(dout, states, caches)
+    got_dx = stack_backward(dout, states, caches, workspace)
     assert got_dx.dtype == dtype
     assert np.array_equal(got_dx, want_dx)
     for name, t in layer.tensors():

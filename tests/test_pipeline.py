@@ -152,13 +152,16 @@ def _set_file(name, digest=None):
     (_set_config("train", "float32"), "config rejected"),
     # a manifest written before TrainConfig.precision was removed
     (_set_config("precision", "float32", ("train",)), "config rejected"),
+    # a manifest written before training's depth became uniform over 1..k
+    (_set_config("depth_support", [], ("train",)), "config rejected"),
     # a manifest written before the trace chunking became a constant
     (_set_config("trace_batch", 512), "config rejected"),
     (_set_file(TRAJ_FILE), f'"files" lacks {TRAJ_FILE}'),
     (_set_file("..", "0" * 64), '"files" lists ..'),
 ], ids=["not_json", "no_files", "no_config", "unknown_config_field",
         "invalid_config_value", "train_not_a_config",
-        "removed_train_precision", "removed_trace_batch",
+        "removed_train_precision", "removed_depth_support",
+        "removed_trace_batch",
         "unlisted_output_file", "unknown_file"])
 def test_verify_names_a_malformed_manifest(run, tmp_path, edit, named):
     config, _ = run

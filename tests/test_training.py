@@ -11,7 +11,6 @@ from loopscope.training import (
     TrainLog,
     encode_dataset,
     evaluate_accuracy,
-    sample_depth,
     train,
     train_step,
 )
@@ -35,29 +34,31 @@ def small_config(world, **kw):
     return LoopedConfig(**defaults)
 
 
-def test_sample_depth_degenerate():
-    cfg = TrainConfig(depth_support=(5,))
-    rng = np.random.default_rng(0)
-    assert all(sample_depth(rng, cfg) == 5 for _ in range(20))
+def test_train_draws_each_depth_uniformly_from_one_to_k_max(world, bench,
+                                                            monkeypatch):
+    """Each step's depth is rng.integers(k_max) + 1, drawn from the
+    generator seeded with config.seed after that epoch's permutation: a
+    replay of the generator gives every depth that train_step received."""
+    cfg = small_config(world, k_max=3)
+    items = [p for it in bench.items if it.variant == "Easy"
+             for p in bench.permutations_for(it)][:12]
+    tcfg = TrainConfig(epochs=2, batch_size=2, seed=3)
+    ks, real = [], training.train_step
 
+    def recording(params, batch, k, optimizer, workspace=None):
+        ks.append(k)
+        return real(params, batch, k, optimizer, workspace)
 
-def test_sample_depth_uniform_mean():
-    cfg = TrainConfig()
-    rng = np.random.default_rng(1)
-    draws = [sample_depth(rng, cfg, k_max=30) for _ in range(100000)]
-    assert np.mean(draws) == pytest.approx(15.5, abs=0.1)
-    assert min(draws) == 1 and max(draws) == 30
-
-
-def test_sample_depth_reproducible_and_validated():
-    cfg = TrainConfig(depth_support=(1, 2, 3))
-    a = [sample_depth(np.random.default_rng(2), cfg) for _ in range(10)]
-    b = [sample_depth(np.random.default_rng(2), cfg) for _ in range(10)]
-    assert a == b
-    with pytest.raises(ValueError):
-        TrainConfig(depth_support=(0, 5)).resolved_support(30)
-    with pytest.raises(ValueError):
-        TrainConfig(depth_support=(40,)).resolved_support(30)
+    monkeypatch.setattr(training, "train_step", recording)
+    train(init_params(cfg, seed=0), items, world, tcfg)
+    rng = np.random.default_rng(tcfg.seed)
+    want = []
+    for _ in range(tcfg.epochs):
+        rng.permutation(len(items))
+        want += [int(rng.integers(cfg.k_max)) + 1
+                 for _ in range(len(items) // tcfg.batch_size)]
+    assert ks == want
+    assert set(ks) == {1, 2, 3}
 
 
 def test_lr_schedule_warmup_and_cosine():
@@ -132,12 +133,11 @@ def test_workspace_reuse_is_invisible(world, bench, monkeypatch):
     """train() keeps one Workspace for all its steps. The same steps, each
     with a fresh workspace, give the same losses and weights bit for bit,
     over depths that go up and down and an epoch's smaller last batch."""
-    cfg = small_config(world)
+    cfg = small_config(world, k_max=3)
     items = [p for it in bench.items if it.variant == "Easy"
              for p in bench.permutations_for(it)][:10]
     tcfg = TrainConfig(epochs=2, batch_size=4, seed=2, lr=3e-3,
-                       warmup_steps=2, lr_decay="cosine",
-                       depth_support=(1, 2, 3))
+                       warmup_steps=2, lr_decay="cosine")
     steps, real = [], training.train_step
 
     def recording(params, batch, k, optimizer, workspace=None):
@@ -295,12 +295,11 @@ def test_one_unroll_reads_every_depth(world, bench):
 
 
 def test_train_loop_and_log_csv(world, bench, tmp_path):
-    cfg = small_config(world)
+    cfg = small_config(world, k_max=5)
     params = init_params(cfg, seed=8)
     items = [p for it in bench.items if it.variant != "NoCorrect"
              for p in bench.permutations_for(it)]
-    tcfg = TrainConfig(epochs=2, batch_size=16, seed=9,
-                       depth_support=tuple(range(1, 6)))
+    tcfg = TrainConfig(epochs=2, batch_size=16, seed=9)
     log = train(params, items, world, tcfg, eval_items=items[:20],
                 eval_depths=(2, 4))
     assert len(log.epochs) == 2
@@ -317,11 +316,10 @@ def test_train_loop_and_log_csv(world, bench, tmp_path):
 
 
 def test_training_determinism(world, bench):
-    cfg = small_config(world)
+    cfg = small_config(world, k_max=3)
     items = [p for it in bench.items if it.variant == "Base"
              for p in bench.permutations_for(it)][:32]
-    tcfg = TrainConfig(epochs=1, batch_size=8, seed=10,
-                       depth_support=(1, 2, 3))
+    tcfg = TrainConfig(epochs=1, batch_size=8, seed=10)
     outs = []
     for _ in range(2):
         params = init_params(cfg, seed=11)
