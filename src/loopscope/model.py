@@ -182,12 +182,13 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int,
     LM head at the last position of each sequence, and returns the mean
     cross-entropy against `targets`. Every weight's gradient is added into
     its .grad, through all k steps (full unroll, no truncation). Each layer
-    application keeps its own cache of what its backward reads, with the
-    row mean and 1/sigma of both its layernorms, and a reverse loop over
-    them is the backward pass. The caches and the backward's scratch live
-    in `workspace`, a layers.Workspace that a training loop keeps across
-    steps (None: a fresh one). Raises NumericError, before the backward, on
-    a non-finite loss."""
+    application keeps its own cache of what a GEMM or a reduction produced
+    and its backward reads, with the row mean and 1/sigma of both its
+    layernorms, and a reverse loop over them, which rebuilds the
+    elementwise results, is the backward pass. The caches and the
+    backward's scratch live in `workspace`, a layers.Workspace that a
+    training loop keeps across steps (None: a fresh one). Raises
+    NumericError, before the backward, on a non-finite loss."""
     cfg = params.config
     if not 1 <= k <= cfg.k_max:
         raise ValueError(f"recurrence depth k={k} must lie in 1..{cfg.k_max}")

@@ -88,9 +88,8 @@ class ExperimentConfig:
     coda_layers: int = 2
     k: int = 30
     # training (tuned for the reference run; see TrainConfig for the bare
-    # optimizer defaults). stage_train replaces train.seed with
-    # derive_seed(seed, "train"), so train.seed, which the manifest records,
-    # has no effect
+    # optimizer defaults). train.seed has no effect: training takes its seed
+    # from `seed` (see train_config), and the manifest records that one
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         lr=2e-3, epochs=24, warmup_steps=100, lr_decay="cosine"))
     # metrics
@@ -131,6 +130,12 @@ class ExperimentConfig:
             prelude_layers=self.prelude_layers,
             recurrent_layers=self.recurrent_layers,
             coda_layers=self.coda_layers, max_seq=RENDER_LEN, k_max=self.k)
+
+    def train_config(self) -> TrainConfig:
+        """The TrainConfig that stage_train trains with: `train`, with its
+        seed derived from the master seed."""
+        return TrainConfig(**{**asdict(self.train),
+                              "seed": derive_seed(self.seed, "train")})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -250,11 +255,9 @@ def stage_train(config: ExperimentConfig, world, bench, write: bool = True):
     eval_items = [p for it in bench.items
                   if it.variant == "Easy" and it.item_id not in train_ids
                   for p in bench.permutations_for(it)][:100]
-    tcfg = TrainConfig(**{**asdict(config.train),
-                          "seed": derive_seed(config.seed, "train")})
     depths = tuple(sorted({max(1, config.k // 8), max(1, config.k // 4),
                            max(1, config.k // 2), config.k}))
-    log = train(params, train_items, world, tcfg,
+    log = train(params, train_items, world, config.train_config(),
                 eval_items=eval_items or None, eval_depths=depths)
     if write:
         log.to_csv(os.path.join(config.output_dir, TRAIN_LOG_FILE))
@@ -421,8 +424,11 @@ def _sha256(path) -> str:
 
 
 def write_manifest(config: ExperimentConfig) -> dict:
+    """manifest.json: the config, with the train seed that training used,
+    and the hash of every output file."""
     manifest = {
-        "config": config.to_dict(),
+        "config": {**config.to_dict(),
+                   "train": asdict(config.train_config())},
         "files": {name: _sha256(os.path.join(config.output_dir, name))
                   for name in OUTPUT_FILES},
     }

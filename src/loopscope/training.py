@@ -77,6 +77,12 @@ class AdamW:
         self.m = [np.zeros_like(t.data) for _, t in self.named]
         self.v = [np.zeros_like(t.data) for _, t in self.named]
         self.t = 0
+        # flat scratch, viewed at each tensor's shape: two arrays in each
+        # weight dtype, and the float64 update of a float32 weight (see step)
+        size = max(t.data.size for _, t in self.named)
+        self.scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype))
+                        for dtype in {t.data.dtype for _, t in self.named}}
+        self.wide = np.empty(size, np.float64)
 
     def lr_at(self, t: int) -> float:
         cfg = self.config
@@ -88,28 +94,45 @@ class AdamW:
         return lr
 
     def step(self):
+        """One update of every weight that has a gradient, in place:
+        w -= lr mhat / (sqrt(vhat) + eps), then w -= lr wd w for a matrix,
+        each op in the dtype NumPy's promotion rules give these formulas.
+        Under cosine decay lr is an np.float64 (from np.cos), so the update
+        and the weight decay are computed in float64 before rounding into a
+        float32 weight; with no decay lr is a Python float and both stay in
+        the weight's dtype."""
         cfg = self.config
         self.t += 1
         lr = self.lr_at(self.t)
         b1, b2 = cfg.beta1, cfg.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for i, (_, p) in enumerate(self.named):
+        for m, v, (_, p) in zip(self.m, self.v, self.named):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / bias1
-            vhat = self.v[i] / bias2
-            # Under cosine decay lr is an np.float64 (from np.cos), so NumPy
-            # computes this update and the weight decay in float64 before
-            # rounding into the float32 weight; with no decay lr is a Python
-            # float and both stay in float32. An in-place float32 update
-            # would change the cosine runs' weights.
-            p.data -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            a, b = (s[:g.size].reshape(g.shape)
+                    for s in self.scratch[p.data.dtype])
+            m *= b1                             # m = b1 m + (1 - b1) g
+            np.multiply(g, 1 - b1, out=a)
+            m += a
+            v *= b2                             # v = b2 v + (1 - b2) g g
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bias1, out=a)          # mhat
+            np.divide(v, bias2, out=b)          # sqrt(vhat) + eps
+            np.sqrt(b, out=b)
+            b += cfg.eps
+            update = a
+            if np.result_type(lr, a) != a.dtype:
+                update = self.wide[:g.size].reshape(g.shape)
+            np.multiply(a, lr, out=update)
+            update /= b
+            p.data -= update
             if cfg.weight_decay and min(p.data.shape) > 1:
-                p.data -= lr * cfg.weight_decay * p.data
+                np.multiply(p.data, lr * cfg.weight_decay, out=update)
+                p.data -= update
 
     def zero_grad(self):
         for _, p in self.named:

@@ -204,20 +204,37 @@ def plain_layer_norm_backward(x, gain, bias, g):
                                                              keepdims=True)
 
 
-def plain_layer_backward(dout, x, p, keys, buf):
+def plain_layer_norm(x, gain, bias):
+    """The layernorm's output as a plain formula."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    rstd = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+    return gain.data * (xc * rstd) + bias.data
+
+
+def plain_rebuilt(x, p, buf):
+    """What one application's forward leaves in shared scratch and its
+    backward rebuilds, as plain formulas of its input x and its cache: the
+    outputs of LN1 and LN2, and GELU's tanh and output."""
+    h = buf.hidden
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * (h * h * h)))
+    return (plain_layer_norm(x, p.ln1_g, p.ln1_b),
+            plain_layer_norm(buf.mid, p.ln2_g, p.ln2_b), t, 0.5 * h * (1.0 + t))
+
+
+def plain_layer_backward(dout, x, p, keys, buf, ln1, ln2, t, act):
     """layer_backward as plain formulas that allocate every temporary;
-    returns dx and {weight name: gradient}. Reads the cache, changes
-    nothing."""
+    returns dx and {weight name: gradient}. Reads the cache and the
+    outputs of LN1 and LN2 and GELU's tanh and output, changes nothing."""
     batch, seq, n_heads, dh = buf.shape
     d = x.shape[1]
     grads = {"b_mlp2": dout.sum(axis=0, keepdims=True),
-             "w_mlp2": np.matmul(buf.act.T, dout)}
+             "w_mlp2": np.matmul(act.T, dout)}
     dact = np.matmul(dout, p.w_mlp2.data.T)
-    h, t = buf.hidden, buf.t
+    h = buf.hidden
     dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * (h * h))
     dh1 = dact * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
     grads["b_mlp1"] = dh1.sum(axis=0, keepdims=True)
-    grads["w_mlp1"] = np.matmul(buf.ln.T, dh1)
+    grads["w_mlp1"] = np.matmul(ln2.T, dh1)
     dln, grads["ln2_g"], grads["ln2_b"] = plain_layer_norm_backward(
         buf.mid, p.ln2_g, p.ln2_b, np.matmul(dh1, p.w_mlp1.data.T))
     dmid = dout + dln
@@ -234,28 +251,68 @@ def plain_layer_backward(dout, x, p, keys, buf):
     dk = np.matmul(dscores.swapaxes(2, 3), q) * (1.0 / math.sqrt(dh))
     dqkv = np.concatenate([b.transpose(0, 2, 1, 3).reshape(batch * seq, d)
                            for b in (dq, dk, dv)], axis=1)
-    grads["w_qkv"] = np.matmul(keys.ln.T, dqkv)
+    grads["w_qkv"] = np.matmul(ln1.T, dqkv)
     dln, grads["ln1_g"], grads["ln1_b"] = plain_layer_norm_backward(
         x, p.ln1_g, p.ln1_b, np.matmul(dqkv, p.w_qkv.data.T))
     return dmid + dln, grads
 
 
+def perturbed_layer(seed, rng, dtype):
+    """A layer whose layernorm affines and biases are not 1 and 0."""
+    layer = random_layer(seed, d=16, d_mlp=64, dtype=dtype)
+    for _, t in layer.tensors():
+        t.data += rng.normal(0.0, 0.3, t.data.shape).astype(dtype)
+    return layer
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_backward_matches_the_plain_formulas_bit_for_bit(dtype):
     """layer_backward's in-place GELU, softmax and layernorm backward, with
-    x-hat re-formed from the kept mean and 1/sigma, give the bits of the
-    plain formulas."""
+    x-hat re-formed from the kept mean and 1/sigma and the layernorm and
+    GELU outputs rebuilt from the cache, give the bits of the plain
+    formulas."""
     rng = np.random.default_rng(25)
-    layer = random_layer(26, d=16, d_mlp=64, dtype=dtype)
-    for _, t in layer.tensors():
-        t.data += rng.normal(0.0, 0.3, t.data.shape).astype(dtype)
+    layer = perturbed_layer(26, rng, dtype)
     x = rng.normal(size=(6 * 5, 16)).astype(dtype)
     dout = rng.normal(size=x.shape).astype(dtype)
     workspace = Workspace()
     states, caches = stack_forward(x, [layer], 4, 5, workspace)
-    want_dx, want = plain_layer_backward(dout, x, *caches[0])
+    want_dx, want = plain_layer_backward(
+        dout, x, *caches[0], *plain_rebuilt(x, layer, caches[0][2]))
     got_dx = stack_backward(dout, states, caches, workspace)
     assert got_dx.dtype == dtype
     assert np.array_equal(got_dx, want_dx)
     for name, t in layer.tensors():
         assert np.array_equal(t.grad, want[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_weights_backward_matches_each_application_alone(dtype):
+    """A stack that applies the same weights three times, as the recurrent
+    block does, gets the plain formulas' gradients bit for bit. Each
+    application's reference reads only that application re-run alone in a
+    fresh Workspace, so a backward that took an array from another
+    application's forward, such as one left in the shared scratch, fails."""
+    rng = np.random.default_rng(27)
+    first, *shared = (perturbed_layer(28 + i, rng, dtype) for i in range(3))
+    stack = [first] + shared * 3
+    x = rng.normal(size=(6 * 5, 16)).astype(dtype)
+    dout = rng.normal(size=x.shape).astype(dtype)
+    workspace = Workspace()
+    states, caches = stack_forward(x, stack, 4, 5, workspace)
+    got_dx = stack_backward(dout, states, caches, workspace)
+
+    # the backward's order: last application first, each weight's
+    # gradients summed in that order
+    want_dx, want = dout, {id(layer): {} for layer in [first] + shared}
+    for x_i, p in zip(reversed(states[:-1]), reversed(stack)):
+        _, alone = stack_forward(x_i, [p], 4, 5, Workspace())
+        want_dx, grads = plain_layer_backward(
+            want_dx, x_i, *alone[0], *plain_rebuilt(x_i, p, alone[0][2]))
+        total = want[id(p)]
+        for name, g in grads.items():
+            total[name] = total[name] + g if name in total else g
+    assert np.array_equal(got_dx, want_dx)
+    for layer in [first] + shared:
+        for name, t in layer.tensors():
+            assert np.array_equal(t.grad, want[id(layer)][name]), name

@@ -242,6 +242,37 @@ def test_different_seed_changes_outputs(run, tmp_path):
     assert report.manifest["files"] != report3.manifest["files"]
 
 
+def test_manifest_records_the_train_seed_that_training_uses(tmp_path,
+                                                           monkeypatch):
+    """Training takes its seed from the master seed, so two configs that
+    differ only in train.seed run identically and write identical
+    manifests, and the manifest records the seed stage_train passes to
+    train."""
+    from loopscope import pipeline
+    from loopscope.training import TrainLog
+
+    seeds = []
+
+    def recording(params, items, world, tcfg, **kwargs):
+        seeds.append(tcfg.seed)
+        return TrainLog()
+
+    monkeypatch.setattr(pipeline, "train", recording)
+    for name in OUTPUT_FILES:
+        (tmp_path / name).write_text(name)
+    manifests = []
+    for train_seed in (0, 99):
+        config = tiny_config(tmp_path)
+        config.train.seed = train_seed
+        pipeline.stage_train(config, *pipeline.stage_gen_bench(
+            config, write=False), write=False)
+        pipeline.write_manifest(config)
+        manifests.append((tmp_path / MANIFEST_FILE).read_bytes())
+    assert manifests[0] == manifests[1]
+    assert seeds[0] == seeds[1]
+    assert json.loads(manifests[0])["config"]["train"]["seed"] == seeds[0]
+
+
 def test_unwritable_output_dir_aborts_early(tmp_path):
     # a path nested under a regular file can never become a directory
     blocker = tmp_path / "blocker"

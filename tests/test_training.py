@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from loopscope import training
 from loopscope.autograd import NumericError, finite_diff_check
+from loopscope.layers import Workspace
 from loopscope.model import LoopedConfig, init_params, loss_and_grads
 from loopscope.taskgen import PermutedItem, build_world, generate_benchmark
 from loopscope.training import (
@@ -327,3 +330,33 @@ def test_training_determinism(world, bench):
         outs.append({n: t.data.copy() for n, t in params.named_tensors()})
     for n in outs[0]:
         assert np.array_equal(outs[0][n], outs[1][n]), n
+
+
+def test_training_memory_stays_bounded():
+    """At reference dims (vocab 45, batch 32, seq 9, k = 30) the 124 layer
+    applications' caches, outputs and the forward scratch they share total
+    at most 95 MiB: each cache keeps what a GEMM or a reduction produced,
+    and the backward rebuilds the elementwise results. A warm train_step
+    allocates at most 1 MiB above what it starts with (NumPy reports its
+    arrays to tracemalloc)."""
+    params = init_params(LoopedConfig(vocab_size=45, max_seq=9, k_max=30),
+                         seed=0)
+    rng = np.random.default_rng(0)
+    batch = (rng.integers(0, 45, size=(32, 9)), rng.integers(0, 45, size=32))
+    opt = AdamW(params, TrainConfig(lr_decay="cosine"), total_steps=10)
+    workspace = Workspace()
+    tracemalloc.start()
+    try:
+        train_step(params, batch, 30, opt, workspace)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_step(params, batch, 30, opt, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 ** 20
+    assert len(workspace.caches) == 2 + 4 * 30 + 2
+    arrays = {id(a): a for cache in workspace.caches for obj in cache
+              for a in vars(obj).values() if isinstance(a, np.ndarray)}
+    arrays.update((id(a), a) for a in workspace.outs)
+    assert sum(a.nbytes for a in arrays.values()) <= 95 * 2 ** 20
