@@ -77,17 +77,19 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 # -- forward --------------------------------------------------------------------
 #
 # The block on raw arrays: every temporary lives in buffers that the caller
-# allocates. Inference reuses one set of buffers for every layer and step.
-# Training keeps its buffers in a Workspace that the training loop creates
-# once and reuses at every step. Each layer application has its own copy of
-# what a GEMM or a reduction produced and layer_backward reads (its cache):
-# the keys and values, queries, attention weights, context, the state after
-# attention, GELU's input, the row mean and 1/sigma of both layernorms, and
-# its output. The elementwise results, both layernorm outputs and GELU's
-# tanh and output, go to forward scratch that every application shares, and
-# layer_backward rebuilds them from the cache by the forward's own ops, so
-# they come back bit for bit. The forward scratch and the backward's
-# GradBuffers are one set that every application shares.
+# allocates. All layer buffers, in training and in inference, are aligned
+# when made: _empty starts each on a 64-byte boundary. Inference reuses one
+# set of buffers for every layer and step. Training keeps its buffers in a
+# Workspace that the training loop creates once and reuses at every step.
+# Each layer application has its own copy of what a GEMM or a reduction
+# produced and layer_backward reads (its cache): the keys and values,
+# queries, attention weights, context, the state after attention, GELU's
+# input, the row mean and 1/sigma of both layernorms, and its output. The
+# elementwise results, both layernorm outputs and GELU's tanh and output,
+# go to forward scratch that every application shares, and layer_backward
+# rebuilds them from the cache by the forward's own ops, so they come back
+# bit for bit. The forward scratch and the backward's GradBuffers are one
+# set that every application shares.
 #
 # One call runs the block for `batch` sequences of n_k positions. It holds the
 # states x of each sequence's last n_x positions and queries the last n_q of
@@ -97,6 +99,18 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 # sequences, n_q = n_x = n_k.
 
 
+def _empty(shape, dtype) -> np.ndarray:
+    """np.empty(shape, dtype) whose data starts on a 64-byte boundary.
+    NumPy's large arrays start 16 bytes past one, and its elementwise loops
+    ran about twice as fast on aligned rows: 9.4 against 22 us for a
+    288 x 256 float32 multiply on an AVX-512 x86 box."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 class KeyBuffers:
     """Keys and values of `batch` sequences of n_k positions, and the
     layernormed states of their last n_x positions, in one dtype."""
@@ -104,13 +118,11 @@ class KeyBuffers:
     def __init__(self, batch: int, n_x: int, n_k: int, d_model: int, dtype):
         rows = batch * n_x
         self.n_x = n_x
-        self.ln = np.empty((rows, d_model), dtype)
-        self.scratch = np.empty((rows, d_model), dtype)
-        self.stat = np.empty((rows, 1), dtype)      # per-row 1/sigma of LN1
-        self.kv = np.empty((batch, n_k, 2 * d_model), dtype)   # keys | values
-        # LN1's row mean is overwritten by its 1/sigma; a layer cache keeps
-        # it in its own array (see Workspace)
-        self.mean = self.stat
+        self.ln = _empty((rows, d_model), dtype)
+        self.scratch = _empty((rows, d_model), dtype)
+        self.mean = _empty((rows, 1), dtype)        # per-row mean of LN1
+        self.stat = _empty((rows, 1), dtype)        # per-row 1/sigma of LN1
+        self.kv = _empty((batch, n_k, 2 * d_model), dtype)     # keys | values
 
 
 class Buffers:
@@ -122,21 +134,20 @@ class Buffers:
         rows = batch * n_q
         dh = d_model // n_heads
         self.shape = (batch, n_q, n_heads, dh)
-        self.q = np.empty((rows, d_model), dtype)
-        self.mid = np.empty((rows, d_model), dtype)     # state after attention
-        self.ln = np.empty((rows, d_model), dtype)      # normed MLP input
-        self.proj = np.empty((rows, d_model), dtype)    # sublayer output
-        self.stat = np.empty((rows, 1), dtype)          # per-row 1/sigma of LN2
-        self.hidden = np.empty((rows, d_mlp), dtype)    # GELU input
-        self.tmp = np.empty((rows, d_mlp), dtype)       # 1 + tanh
-        # GELU's output overwrites its input, and LN2's row mean is
-        # overwritten by its 1/sigma; a Workspace gives the output and, in
-        # each layer cache, the mean their own arrays
+        self.q = _empty((rows, d_model), dtype)
+        self.mid = _empty((rows, d_model), dtype)       # state after attention
+        self.ln = _empty((rows, d_model), dtype)        # normed MLP input
+        self.proj = _empty((rows, d_model), dtype)      # sublayer output
+        self.mean = _empty((rows, 1), dtype)            # per-row mean of LN2
+        self.stat = _empty((rows, 1), dtype)            # per-row 1/sigma of LN2
+        self.hidden = _empty((rows, d_mlp), dtype)      # GELU input
+        self.tmp = _empty((rows, d_mlp), dtype)         # 1 + tanh
+        # GELU's output overwrites its input; a Workspace, whose caches keep
+        # the input, gives the output its own array
         self.act = self.hidden
-        self.mean = self.stat
-        self.scores = np.empty((batch, n_heads, n_q, n_k), dtype)
-        self.smax = np.empty((batch, n_heads, n_q, 1), dtype)
-        self.ctx = np.empty((rows, d_model), dtype)     # (batch, n_q, heads, dh)
+        self.scores = _empty((batch, n_heads, n_q, n_k), dtype)
+        self.smax = _empty((batch, n_heads, n_q, 1), dtype)
+        self.ctx = _empty((rows, d_model), dtype)       # (batch, n_q, heads, dh)
         # query t sits at position n_k - n_q + t and sees the keys up to it
         mask = np.triu(np.ones((n_q, n_k), dtype=bool), k=n_k - n_q + 1)
         self.mask = mask if mask.any() else None
@@ -152,7 +163,7 @@ class Buffers:
 def layer_norm_into(x, gain, bias, out, scratch, mean, rstd) -> None:
     """out = gain * (x - mean) / sqrt(var + eps) + bias, row-wise. Leaves
     the row means in `mean` and 1/sqrt(var + eps) in `rstd`, (rows, 1)
-    columns; `mean` may be `rstd`, which then ends holding 1/sigma."""
+    columns."""
     n = x.shape[1]
     # np.mean's arithmetic (sum, then divide) without its Python wrapper
     np.add.reduce(x, axis=1, keepdims=True, out=mean)
@@ -165,7 +176,14 @@ def layer_norm_into(x, gain, bias, out, scratch, mean, rstd) -> None:
     np.sqrt(rstd, out=rstd)
     np.divide(1.0, rstd, out=rstd)
     out *= rstd
-    out *= gain
+    _affine(out, gain, bias, out)
+
+
+def _affine(xhat, gain, bias, out) -> None:
+    """out = xhat * gain + bias, layer_norm_into's last two ops, so that
+    layer_backward rebuilds a layernorm's output bit for bit from the x-hat
+    layer_norm_backward re-forms. out may be xhat."""
+    np.multiply(xhat, gain, out=out)
     out += bias
 
 
@@ -283,11 +301,11 @@ class NormGrads:
     """Scratch of layer_norm_backward for `rows` rows of d_model."""
 
     def __init__(self, rows: int, d_model: int, dtype):
-        self.xhat = np.empty((rows, d_model), dtype)
-        self.gdy = np.empty((rows, d_model), dtype)     # gain * g, then dx
-        self.prod = np.empty((rows, d_model), dtype)
-        self.mean_gdy = np.empty((rows, 1), dtype)
-        self.mean_prod = np.empty((rows, 1), dtype)
+        self.xhat = _empty((rows, d_model), dtype)
+        self.gdy = _empty((rows, d_model), dtype)       # gain * g, then dx
+        self.prod = _empty((rows, d_model), dtype)
+        self.mean_gdy = _empty((rows, 1), dtype)
+        self.mean_prod = _empty((rows, 1), dtype)
 
 
 class GradBuffers(NormGrads):
@@ -302,17 +320,17 @@ class GradBuffers(NormGrads):
         # the forward's elementwise results, rebuilt from the cache: a
         # layernorm's output, and GELU's output and the pieces of it that
         # its backward reads (see _gelu)
-        self.ln = np.empty((rows, d_model), dtype)
+        self.ln = _empty((rows, d_model), dtype)
         self.sq, self.t, self.half, self.act = (
-            np.empty((rows, d_mlp), dtype) for _ in range(4))
-        self.dres = np.empty((rows, d_model), dtype)    # residual stream
-        self.dln = np.empty((rows, d_model), dtype)     # at a layernorm's output
-        self.dctx = np.empty((rows, d_model), dtype)
-        self.dact = np.empty((rows, d_mlp), dtype)      # at GELU's output, then input
-        self.dqkv = np.empty((rows, 3 * d_model), dtype)
-        self.dw = np.empty((batch, n_heads, seq, seq), dtype)   # then dscores
-        self.wdw = np.empty_like(self.dw)
-        self.wdw_sum = np.empty((batch, n_heads, seq, 1), dtype)
+            _empty((rows, d_mlp), dtype) for _ in range(4))
+        self.dres = _empty((rows, d_model), dtype)      # residual stream
+        self.dln = _empty((rows, d_model), dtype)       # at a layernorm's output
+        self.dctx = _empty((rows, d_model), dtype)
+        self.dact = _empty((rows, d_mlp), dtype)        # at GELU's output, then input
+        self.dqkv = _empty((rows, 3 * d_model), dtype)
+        self.dw = _empty((batch, n_heads, seq, seq), dtype)     # then dscores
+        self.wdw = _empty(self.dw.shape, dtype)
+        self.wdw_sum = _empty((batch, n_heads, seq, 1), dtype)
 
 
 def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
@@ -361,14 +379,6 @@ def _gelu_backward(dy, sq, t, tp1, half, b) -> None:
     dy *= tp1
 
 
-def _norm_output(work: NormGrads, gain, bias, out) -> None:
-    """The output of layer_norm_into(x, gain, bias, out, ...) into out, bit
-    for bit: layer_norm_backward re-forms x-hat in work with the forward's
-    subtract and scale, and this applies the forward's last two ops."""
-    np.multiply(work.xhat, gain, out=out)
-    out += bias
-
-
 def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
                    keys: KeyBuffers, buf: Buffers,
                    grads: GradBuffers) -> np.ndarray:
@@ -396,7 +406,7 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     np.matmul(grads.dact, p.w_mlp1.data.T, out=grads.dln)
     dres += layer_norm_backward(buf.mid, buf.mean, buf.stat, p.ln2_g,
                                 p.ln2_b, grads.dln, grads)
-    _norm_output(grads, p.ln2_g.data, p.ln2_b.data, grads.ln)
+    _affine(grads.xhat, p.ln2_g.data, p.ln2_b.data, grads.ln)
     p.w_mlp1.add_grad(np.matmul(grads.ln.T, grads.dact))
 
     # attention sublayer
@@ -424,31 +434,9 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     np.matmul(grads.dqkv, p.w_qkv.data.T, out=grads.dln)
     dres += layer_norm_backward(x, keys.mean, keys.stat, p.ln1_g, p.ln1_b,
                                 grads.dln, grads)
-    _norm_output(grads, p.ln1_g.data, p.ln1_b.data, grads.ln)
+    _affine(grads.xhat, p.ln1_g.data, p.ln1_b.data, grads.ln)
     p.w_qkv.add_grad(np.matmul(grads.ln.T, grads.dqkv))
     return dres
-
-
-def _aligned_like(a: np.ndarray) -> np.ndarray:
-    """np.empty_like(a) whose data starts on a 64-byte boundary. NumPy's
-    large arrays start 16 bytes past one, and its elementwise loops ran
-    about twice as fast on aligned rows: 9.4 against 22 us for a 288 x 256
-    float32 multiply on an AVX-512 x86 box."""
-    raw = np.empty(a.nbytes + 64, np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
-
-
-def _realign(obj) -> None:
-    """Move every array field of obj to 64-byte aligned memory, keeping its
-    values and which fields share an array."""
-    moved = {}
-    for name, a in list(vars(obj).items()):
-        if isinstance(a, np.ndarray):
-            if id(a) not in moved:
-                moved[id(a)] = _aligned_like(a)
-                moved[id(a)][...] = a
-            setattr(obj, name, moved[id(a)])
 
 
 # the arrays of a layer application's cache, which layer_backward reads:
@@ -465,10 +453,11 @@ class Workspace:
     the forward scratch that all applications share (Buffers.ln, .proj,
     .tmp, .act and .smax, KeyBuffers.ln and .scratch) and one GradBuffers,
     into which the backward rebuilds the layernorm outputs and GELU's tanh
-    and output, every array 64-byte aligned. A step overwrites the previous
-    step's states and caches. A step whose batch shape, width or dtype
-    differs from the previous step's starts over with new buffers; in
-    training that is an epoch's smaller last batch and the step after it."""
+    and output. Like every layer buffer, each array is 64-byte aligned when
+    it is made (_empty). A step overwrites the previous step's states and
+    caches. A step whose batch shape, width or dtype differs from the
+    previous step's starts over with new buffers; in training that is an
+    epoch's smaller last batch and the step after it."""
 
     def __init__(self):
         self.key = None
@@ -484,22 +473,19 @@ class Workspace:
             self.key = key
             keys = KeyBuffers(batch, seq, seq, d, x.dtype)
             buf = Buffers(batch, seq, seq, d, d_mlp, n_heads, x.dtype)
-            # a cache keeps each layernorm's row mean apart from its 1/sigma,
-            # and GELU's input, which its output would overwrite
-            keys.mean, buf.mean, buf.act = (
-                np.empty_like(a) for a in (keys.stat, buf.stat, buf.hidden))
+            # a cache keeps GELU's input, which its output would overwrite
+            buf.act = _empty(buf.hidden.shape, x.dtype)
             self.grads = GradBuffers(batch, seq, d, d_mlp, n_heads, x.dtype)
-            for obj in (keys, buf, self.grads):
-                _realign(obj)
-            self.outs = [_aligned_like(x)]
+            self.outs = [_empty(x.shape, x.dtype)]
             self.caches = [(keys, buf)]
         while len(self.caches) < n_layers:
             keys, buf = (copy.copy(obj) for obj in self.caches[0])
             for obj, names in ((keys, _CACHED_KEYS), (buf, _CACHED)):
                 for name in names:
-                    setattr(obj, name, _aligned_like(getattr(obj, name)))
+                    a = getattr(obj, name)
+                    setattr(obj, name, _empty(a.shape, a.dtype))
             self.caches.append((keys, buf))
-            self.outs.append(_aligned_like(x))
+            self.outs.append(_empty(x.shape, x.dtype))
 
 
 def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int,

@@ -18,6 +18,7 @@ from .layers import (
     Buffers,
     KeyBuffers,
     Workspace,
+    _empty,
     init_layer,
     keys_values,
     layer_forward,
@@ -150,6 +151,8 @@ def _check_tokens(tokens, config: LoopedConfig) -> np.ndarray:
         raise ShapeError("sequences must hold at least one token")
     if arr.shape[1] > config.max_seq:
         raise ShapeError(f"sequence length {arr.shape[1]} exceeds max_seq {config.max_seq}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, not {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= config.vocab_size):
         raise ValueError("token id out of vocabulary range")
     return arr.astype(np.intp)
@@ -159,9 +162,11 @@ def cross_entropy(logits: np.ndarray, targets):
     """Mean cross-entropy of row logits against integer targets, and its
     gradient with respect to the logits, in the logits' dtype."""
     n, vocab = logits.shape
-    targets = np.asarray(targets, dtype=np.intp)
+    targets = np.asarray(targets)
     if targets.shape != (n,):
         raise ShapeError("one target per logit row required")
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(f"target ids must be integers, not {targets.dtype}")
     if n and (targets.min() < 0 or targets.max() >= vocab):
         raise ValueError("target id out of vocabulary range")
     z = logits - logits.max(axis=1, keepdims=True)
@@ -456,9 +461,9 @@ def _beliefs(ids, p_len, prefixes, group, params: LoopedModelParams,
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(pre_h))):
         raise NumericError("prelude produced non-finite activations")
 
-    coda_pre, coda = np.empty_like(pre_h), np.empty_like(h)
-    top = np.empty((batch, d), dtype)
-    logits = np.empty((batch, cfg.vocab_size), dtype)
+    coda_pre, coda = _empty(pre_h.shape, dtype), _empty(h.shape, dtype)
+    top = _empty((batch, d), dtype)
+    logits = _empty((batch, cfg.vocab_size), dtype)
     rows = {step: j for j, step in enumerate(steps)}     # step -> probs row
     for step in range(1, steps[-1] + 1):
         if stop:

@@ -34,8 +34,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
-        if self.batch_size < 1 or self.warmup_steps < 0:
-            raise ValueError("batch_size must be >= 1, warmup_steps >= 0")
+        if self.batch_size < 1 or self.epochs < 1 or self.warmup_steps < 0:
+            raise ValueError("batch_size and epochs must be >= 1, "
+                             "warmup_steps >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0
                 and self.weight_decay >= 0):
             raise ValueError("beta1 and beta2 must lie in [0, 1), eps > 0 "

@@ -84,6 +84,8 @@ def test_cross_entropy_matches_log():
         cross_entropy(np.zeros((2, 3)), [0])
     with pytest.raises(ValueError):
         cross_entropy(np.zeros((1, 3)), [3])
+    with pytest.raises(ValueError, match="integers"):
+        cross_entropy(np.zeros((2, 3)), [0.5, 1.9])
 
 
 def test_float32_activations_stay_float32(monkeypatch):

@@ -107,6 +107,12 @@ def test_prelude_rejects_bad_tokens(params):
             fn([0, CFG.vocab_size])
         with pytest.raises(Exception):
             fn(list(range(CFG.max_seq + 1)))
+        # ids must be integers: a float is not truncated to one
+        for tokens in ([1.7, 2.2, 3.9], ["a", "b"]):
+            with pytest.raises(ValueError, match="integers"):
+                fn(tokens)
+        with pytest.raises(ShapeError):
+            fn([])
 
 
 def test_prelude_matches_naive_oracle():
@@ -116,7 +122,7 @@ def test_prelude_matches_naive_oracle():
     assert np.max(np.abs(got - naive_beliefs(tokens, params, 1))) < 1e-12
 
 
-def test_recurrent_step_purity_and_index(params):
+def test_loss_and_grads_is_pure(params):
     """The training forward is pure: the same call gives the same loss and
     gradients, and it leaves the weights as they were."""
     tokens, targets = np.array([[5, 6, 7], [1, 2, 3]]), [4, 9]
@@ -240,7 +246,7 @@ def moved_params(dtype=np.float64, config=KCFG):
 
 @pytest.mark.parametrize("batch,seq", [(3, KCFG.max_seq), (1, KCFG.max_seq),
                                        (2, KCFG.max_seq - 2)])
-def test_deliberate_matches_taped_forward_at_every_step(batch, seq):
+def test_deliberate_matches_naive_beliefs_at_every_step(batch, seq):
     """Beliefs at every step against the per-position oracle, naive_beliefs."""
     params = moved_params()
     tokens = np.random.default_rng(batch).integers(0, KCFG.vocab_size,
@@ -287,7 +293,7 @@ SHARED_BATCHES = {
 
 
 @pytest.mark.parametrize("name", SHARED_BATCHES)
-def test_deliberate_shared_prefix_matches_taped_forward(name):
+def test_deliberate_shared_prefix_matches_naive_beliefs(name):
     """The prefix split, and beliefs at every step against naive_beliefs."""
     tokens, want_p = SHARED_BATCHES[name]
     p_len, prefixes, group = shared_prefix(tokens)
@@ -360,6 +366,55 @@ def test_bare_run_deliberation_leaves_grads_unset():
     dists = run_deliberation([1, 2, 3], params, k=3)
     assert all(isinstance(d.probs, np.ndarray) for d in dists)
     assert all(t.grad is None for _, t in params.named_tensors())
+
+
+def assert_aligned_and_apart(obj, alias=None):
+    """Every array field of obj starts on a 64-byte boundary, and no two
+    share memory but the pair `alias`. The causal mask is a constant that
+    no op writes, not a buffer."""
+    arrays = [(name, a) for name, a in vars(obj).items()
+              if isinstance(a, np.ndarray) and name != "mask"]
+    for i, (name, a) in enumerate(arrays):
+        assert a.ctypes.data % 64 == 0, name
+        for other, b in arrays[i + 1:]:
+            if {name, other} != alias:
+                assert not np.shares_memory(a, b), (name, other)
+
+
+def test_layer_buffers_are_aligned_and_share_no_memory(monkeypatch):
+    """Training's Workspace, after a k = 3 step, and the buffers deliberate
+    hands to layer_forward: at batch 1 and with a shared prefix."""
+    params = moved_params(np.float32)
+    tokens, _ = SHARED_BATCHES["shuffled-stems"]
+    workspace = model.Workspace()
+    loss_and_grads(tokens, np.arange(len(tokens)), params, 3, workspace)
+    for keys, buf in workspace.caches:
+        assert_aligned_and_apart(keys)
+        assert_aligned_and_apart(buf)
+    assert_aligned_and_apart(workspace.grads)
+    outs = workspace.outs
+    assert len(outs) == len(params.prelude + params.coda) + 3 * len(
+        params.recurrent)
+    for i, a in enumerate(outs):
+        assert a.ctypes.data % 64 == 0
+        assert not any(np.shares_memory(a, b) for b in outs[i + 1:])
+
+    seen, forward = [], model.layer_forward
+
+    def spy(x, p, keys, buf, out=None):
+        seen.append((keys, buf))
+        forward(x, p, keys, buf, out)
+
+    monkeypatch.setattr(model, "layer_forward", spy)
+    for batch in (tokens[:1], tokens):
+        seen.clear()
+        deliberate(batch, params, 2)
+        # the rows', the answer row's and, with a shared prefix, the prefix's
+        assert len({id(b) for _, b in seen}) == (3 if len(batch) > 1 else 2)
+        for keys, buf in seen:
+            assert_aligned_and_apart(keys)
+            # GELU's output overwrites its input in inference
+            assert_aligned_and_apart(buf, alias={"act", "hidden"})
 
 
 # -- row shards ---------------------------------------------------------------

@@ -79,7 +79,8 @@ def test_lr_schedule_warmup_and_cosine():
     assert flat.lr_at(60) == pytest.approx(1.0)         # no decay by default
     for bad in (dict(lr_decay="linear"), dict(batch_size=0),
                 dict(warmup_steps=-1), dict(beta1=1.0), dict(beta2=1.0),
-                dict(beta1=-0.1), dict(eps=0.0), dict(weight_decay=-0.01)):
+                dict(beta1=-0.1), dict(eps=0.0), dict(weight_decay=-0.01),
+                dict(epochs=0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
