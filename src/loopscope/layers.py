@@ -83,11 +83,12 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 # Workspace that the training loop creates once and reuses at every step.
 # Each layer application has its own copy of what a GEMM or a reduction
 # produced and layer_backward reads (its cache): the keys and values,
-# queries, attention weights, context, the state after attention, GELU's
-# input, the row mean and 1/sigma of both layernorms, and its output. The
-# elementwise results, both layernorm outputs and GELU's tanh and output,
-# go to forward scratch that every application shares, and layer_backward
-# rebuilds them from the cache by the forward's own ops, so they come back
+# queries, attention weights, the state after attention, the row mean and
+# 1/sigma of both layernorms, and its output. The elementwise results, both
+# layernorm outputs and GELU's tanh and output, go to forward scratch that
+# every application shares, and so do two products that are cheap to form
+# again: GELU's input and the attention context. layer_backward rebuilds
+# all of them from the cache by the forward's own ops, so they come back
 # bit for bit. The forward scratch and the backward's GradBuffers are one
 # set that every application shares.
 #
@@ -142,9 +143,7 @@ class Buffers:
         self.stat = _empty((rows, 1), dtype)            # per-row 1/sigma of LN2
         self.hidden = _empty((rows, d_mlp), dtype)      # GELU input
         self.tmp = _empty((rows, d_mlp), dtype)         # 1 + tanh
-        # GELU's output overwrites its input; a Workspace, whose caches keep
-        # the input, gives the output its own array
-        self.act = self.hidden
+        self.act = self.hidden      # GELU's output overwrites its input
         self.scores = _empty((batch, n_heads, n_q, n_k), dtype)
         self.smax = _empty((batch, n_heads, n_q, 1), dtype)
         self.ctx = _empty((rows, d_model), dtype)       # (batch, n_q, heads, dh)
@@ -318,11 +317,11 @@ class GradBuffers(NormGrads):
         rows = batch * seq
         super().__init__(rows, d_model, dtype)
         # the forward's elementwise results, rebuilt from the cache: a
-        # layernorm's output, and GELU's output and the pieces of it that
-        # its backward reads (see _gelu)
+        # layernorm's output, and the pieces of GELU's output that its
+        # backward reads (see _gelu)
         self.ln = _empty((rows, d_model), dtype)
-        self.sq, self.t, self.half, self.act = (
-            _empty((rows, d_mlp), dtype) for _ in range(4))
+        self.sq, self.t, self.half = (
+            _empty((rows, d_mlp), dtype) for _ in range(3))
         self.dres = _empty((rows, d_model), dtype)      # residual stream
         self.dln = _empty((rows, d_model), dtype)       # at a layernorm's output
         self.dctx = _empty((rows, d_model), dtype)
@@ -387,35 +386,44 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     the gradient with respect to out, and adds each weight's gradient into
     its .grad. The fields of keys and buf that a Workspace cache keeps
     (_CACHED_KEYS, _CACHED) must still hold that forward's values, and stay
-    unchanged; both layernorm outputs and GELU's tanh and output are rebuilt
-    from them into grads, and buf.tmp is scratch. The result is grads.dres,
-    which dout may be."""
+    unchanged; both layernorm outputs, GELU's input, tanh and output and
+    the attention context are rebuilt from them, and buf.hidden (which is
+    buf.act) and buf.tmp are scratch. The result is grads.dres, which dout
+    may be."""
     batch, seq, n_heads, dh = buf.shape
     d = x.shape[1]
     dres = grads.dres
     if dout is not dres:
         np.copyto(dres, dout)
-    # MLP sublayer; grads.act is free once W2's gradient is taken
+    # MLP sublayer. LN2's x-hat, re-formed as layer_norm_backward does,
+    # gives LN2's output and GELU's input by the forward's ops; GELU's
+    # output overwrites its input and is free once W2's gradient is taken
     p.b_mlp2.add_grad(dres.sum(axis=0, keepdims=True))
     np.matmul(dres, p.w_mlp2.data.T, out=grads.dact)
-    _gelu(buf.hidden, grads.sq, grads.t, buf.tmp, grads.half, grads.act)
-    p.w_mlp2.add_grad(np.matmul(grads.act.T, dres))
+    np.subtract(buf.mid, buf.mean, out=grads.xhat)
+    grads.xhat *= buf.stat
+    _affine(grads.xhat, p.ln2_g.data, p.ln2_b.data, grads.ln)
+    np.matmul(grads.ln, p.w_mlp1.data, out=buf.hidden)
+    buf.hidden += p.b_mlp1.data
+    _gelu(buf.hidden, grads.sq, grads.t, buf.tmp, grads.half, buf.act)
+    p.w_mlp2.add_grad(np.matmul(buf.act.T, dres))
     _gelu_backward(grads.dact, grads.sq, grads.t, buf.tmp, grads.half,
-                   grads.act)
+                   buf.act)
     p.b_mlp1.add_grad(grads.dact.sum(axis=0, keepdims=True))
     np.matmul(grads.dact, p.w_mlp1.data.T, out=grads.dln)
     dres += layer_norm_backward(buf.mid, buf.mean, buf.stat, p.ln2_g,
                                 p.ln2_b, grads.dln, grads)
-    _affine(grads.xhat, p.ln2_g.data, p.ln2_b.data, grads.ln)
     p.w_mlp1.add_grad(np.matmul(grads.ln.T, grads.dact))
 
-    # attention sublayer
-    p.w_out.add_grad(np.matmul(buf.ctx.T, dres))
-    p.b_out.add_grad(dres.sum(axis=0, keepdims=True))
-    np.matmul(dres, p.w_out.data.T, out=grads.dctx)
-    dctx = buf.heads(grads.dctx, seq)
+    # attention sublayer; the context is rebuilt by the forward's product
+    # into grads.dctx, which its gradient overwrites once W_out's is taken
     q = buf.heads(buf.q, seq)
     k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], seq) for i in range(2))
+    dctx = buf.heads(grads.dctx, seq)
+    np.matmul(buf.scores, v, out=dctx)
+    p.w_out.add_grad(np.matmul(grads.dctx.T, dres))
+    p.b_out.add_grad(dres.sum(axis=0, keepdims=True))
+    np.matmul(dres, p.w_out.data.T, out=grads.dctx)
     dq, dk, dv = (buf.heads(grads.dqkv[:, i * d:(i + 1) * d], seq)
                   for i in range(3))
     w, dw = buf.scores, grads.dw
@@ -442,7 +450,7 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
 # the arrays of a layer application's cache, which layer_backward reads:
 # its own copies of these Buffers and KeyBuffers fields. Every other field
 # is forward scratch that all applications share.
-_CACHED = ("q", "scores", "ctx", "mid", "hidden", "mean", "stat")
+_CACHED = ("q", "scores", "mid", "mean", "stat")
 _CACHED_KEYS = ("kv", "mean", "stat")
 
 
@@ -451,9 +459,10 @@ class Workspace:
     keeps them from step to step: the output and cache of each layer
     application (_CACHED, _CACHED_KEYS), made when a step first needs them,
     the forward scratch that all applications share (Buffers.ln, .proj,
-    .tmp, .act and .smax, KeyBuffers.ln and .scratch) and one GradBuffers,
-    into which the backward rebuilds the layernorm outputs and GELU's tanh
-    and output. Like every layer buffer, each array is 64-byte aligned when
+    .hidden, .tmp, .ctx and .smax, KeyBuffers.ln and .scratch) and one
+    GradBuffers. The backward rebuilds the layernorm outputs, GELU's input,
+    tanh and output and the attention context from the cache into the
+    scratch. Like every layer buffer, each array is 64-byte aligned when
     it is made (_empty). A step overwrites the previous step's states and
     caches. A step whose batch shape, width or dtype differs from the
     previous step's starts over with new buffers; in training that is an
@@ -473,8 +482,6 @@ class Workspace:
             self.key = key
             keys = KeyBuffers(batch, seq, seq, d, x.dtype)
             buf = Buffers(batch, seq, seq, d, d_mlp, n_heads, x.dtype)
-            # a cache keeps GELU's input, which its output would overwrite
-            buf.act = _empty(buf.hidden.shape, x.dtype)
             self.grads = GradBuffers(batch, seq, d, d_mlp, n_heads, x.dtype)
             self.outs = [_empty(x.shape, x.dtype)]
             self.caches = [(keys, buf)]

@@ -68,10 +68,13 @@ def exploration_end(kl_series, tol: float = 0.01, window: int = 3):
     if s.size < window:
         return None
     ok = s <= tol
-    for i in range(s.size - window + 1):
-        if ok[i:i + window].all():
-            return i
-    return None
+    # settled[i]: ok[i..i+window-1] all hold, as the AND of window shifts
+    n = s.size - window + 1
+    settled = ok[:n].copy()
+    for j in range(1, window):
+        settled &= ok[j:j + n]
+    i = int(settled.argmax())
+    return i if settled[i] else None
 
 
 @dataclass
@@ -417,11 +420,11 @@ def trajectory_to_record(t: BeliefTrajectory) -> dict:
         "variant": t.variant,
         "perm_index": t.perm_index,
         "k": t.k,
-        "option_probs": [[float(x) for x in row] for row in t.option_probs],
-        "full_entropy": [float(x) for x in t.full_entropy],
-        "renorm_entropy": [float(x) for x in t.renorm_entropy],
-        "argmax_series": [int(x) for x in t.argmax_series],
-        "step_kl": [float(x) for x in t.step_kl_series],
+        "option_probs": t.option_probs.tolist(),
+        "full_entropy": t.full_entropy.tolist(),
+        "renorm_entropy": t.renorm_entropy.tolist(),
+        "argmax_series": t.argmax_series.tolist(),
+        "step_kl": t.step_kl_series.tolist(),
         "correct_index": t.correct_index,
         "similarities": [float(x) for x in t.similarities],
         "options": list(t.options),

@@ -6,8 +6,6 @@ input always produces byte-identical documents.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 WIDTH = 640
@@ -24,6 +22,12 @@ VARIANT_COLORS = {
     "NoCorrect": "#d62728",
 }
 FALLBACK_COLORS = ["#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f"]
+
+
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape's three replacements, "&" first, without
+    importing xml.sax, which loads urllib, http.client and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -61,7 +65,7 @@ def _document(body: list, title: str) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{_escape(title)}</title>',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     return "\n".join(head + body + ["</svg>"]) + "\n"
@@ -92,7 +96,7 @@ def _axes(y_max: float, y_label: str, k: int) -> list:
         f'<text x="14" y="{(MARGIN_T + HEIGHT - MARGIN_B) // 2}" '
         f'font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 14 {(MARGIN_T + HEIGHT - MARGIN_B) // 2})">'
-        f'{escape(y_label)}</text>')
+        f'{_escape(y_label)}</text>')
     return parts
 
 
@@ -142,7 +146,7 @@ def emit_trajectory_plot(trajectory, extra_trajectories=(), title: str = "") -> 
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 20}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="{width}"/>')
         body.append(
-            f'<text x="{lx + 26}" y="{ly}" font-size="11">{escape(label)}</text>')
+            f'<text x="{lx + 26}" y="{ly}" font-size="11">{_escape(label)}</text>')
     return _document(body, title or f"beliefs for {trajectory.item_id}")
 
 
@@ -190,5 +194,5 @@ def emit_entropy_plot(curves: dict, title: str = "",
             f'stroke="{color}" stroke-width="2"/>')
         body.append(
             f'<text class="legend" x="{lx + 26}" y="{ly}" font-size="11">'
-            f'{escape(name)}</text>')
+            f'{_escape(name)}</text>')
     return _document(body, title or "entropy by variant")

@@ -211,26 +211,32 @@ def plain_layer_norm(x, gain, bias):
     return gain.data * (xc * rstd) + bias.data
 
 
-def plain_rebuilt(x, p, buf):
+def plain_rebuilt(x, p, keys, buf):
     """What one application's forward leaves in shared scratch and its
     backward rebuilds, as plain formulas of its input x and its cache: the
-    outputs of LN1 and LN2, and GELU's tanh and output."""
-    h = buf.hidden
+    outputs of LN1 and LN2, GELU's input, tanh and output, and the
+    attention context."""
+    batch, seq, _, _ = buf.shape
+    d = x.shape[1]
+    ln2 = plain_layer_norm(buf.mid, p.ln2_g, p.ln2_b)
+    h = np.matmul(ln2, p.w_mlp1.data) + p.b_mlp1.data
     t = np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * (h * h * h)))
-    return (plain_layer_norm(x, p.ln1_g, p.ln1_b),
-            plain_layer_norm(buf.mid, p.ln2_g, p.ln2_b), t, 0.5 * h * (1.0 + t))
+    ctx = np.matmul(buf.scores, buf.heads(keys.kv[:, :, d:], seq))
+    return (plain_layer_norm(x, p.ln1_g, p.ln1_b), ln2, h, t,
+            0.5 * h * (1.0 + t),
+            ctx.transpose(0, 2, 1, 3).reshape(batch * seq, d))
 
 
-def plain_layer_backward(dout, x, p, keys, buf, ln1, ln2, t, act):
+def plain_layer_backward(dout, x, p, keys, buf, ln1, ln2, h, t, act, ctx):
     """layer_backward as plain formulas that allocate every temporary;
     returns dx and {weight name: gradient}. Reads the cache and the
-    outputs of LN1 and LN2 and GELU's tanh and output, changes nothing."""
+    outputs of LN1 and LN2, GELU's input, tanh and output and the
+    attention context, changes nothing."""
     batch, seq, n_heads, dh = buf.shape
     d = x.shape[1]
     grads = {"b_mlp2": dout.sum(axis=0, keepdims=True),
              "w_mlp2": np.matmul(act.T, dout)}
     dact = np.matmul(dout, p.w_mlp2.data.T)
-    h = buf.hidden
     dinner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * (h * h))
     dh1 = dact * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * dinner)
     grads["b_mlp1"] = dh1.sum(axis=0, keepdims=True)
@@ -238,7 +244,7 @@ def plain_layer_backward(dout, x, p, keys, buf, ln1, ln2, t, act):
     dln, grads["ln2_g"], grads["ln2_b"] = plain_layer_norm_backward(
         buf.mid, p.ln2_g, p.ln2_b, np.matmul(dh1, p.w_mlp1.data.T))
     dmid = dout + dln
-    grads["w_out"] = np.matmul(buf.ctx.T, dmid)
+    grads["w_out"] = np.matmul(ctx.T, dmid)
     grads["b_out"] = dmid.sum(axis=0, keepdims=True)
     dctx = buf.heads(np.matmul(dmid, p.w_out.data.T), seq)
     q = buf.heads(buf.q, seq)
@@ -278,7 +284,7 @@ def test_in_place_backward_matches_the_plain_formulas_bit_for_bit(dtype):
     workspace = Workspace()
     states, caches = stack_forward(x, [layer], 4, 5, workspace)
     want_dx, want = plain_layer_backward(
-        dout, x, *caches[0], *plain_rebuilt(x, layer, caches[0][2]))
+        dout, x, *caches[0], *plain_rebuilt(x, *caches[0]))
     got_dx = stack_backward(dout, states, caches, workspace)
     assert got_dx.dtype == dtype
     assert np.array_equal(got_dx, want_dx)
@@ -308,7 +314,7 @@ def test_shared_weights_backward_matches_each_application_alone(dtype):
     for x_i, p in zip(reversed(states[:-1]), reversed(stack)):
         _, alone = stack_forward(x_i, [p], 4, 5, Workspace())
         want_dx, grads = plain_layer_backward(
-            want_dx, x_i, *alone[0], *plain_rebuilt(x_i, p, alone[0][2]))
+            want_dx, x_i, *alone[0], *plain_rebuilt(x_i, *alone[0]))
         total = want[id(p)]
         for name, g in grads.items():
             total[name] = total[name] + g if name in total else g

@@ -1,8 +1,11 @@
+import json
 import math
 from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopscope.metrics import (
     CORRECT,
@@ -121,6 +124,31 @@ def test_exploration_end_matches_naive_scan_fuzz():
     for _ in range(2000):
         s = list(rng.exponential(0.02, size=rng.integers(0, 15)))
         assert exploration_end(s) == naive_exploration_end(s)
+
+
+def sliced_exploration_end(kl_series, tol=0.01, window=3):
+    """exploration_end as a scan that tests one window slice at a time:
+    the reference for its shifted-AND form."""
+    s = np.asarray(kl_series, dtype=np.float64)
+    if s.size < window:
+        return None
+    ok = s <= tol
+    for i in range(s.size - window + 1):
+        if ok[i:i + window].all():
+            return i
+    return None
+
+
+@given(series=st.lists(st.one_of(st.floats(0.0, 0.05), st.floats()),
+                       max_size=40),
+       tol=st.floats(1e-6, 0.1), window=st.integers(1, 12))
+def test_exploration_end_matches_sliced_scan(series, tol, window):
+    """The same Python int or None, with NaN and infinite entries, windows
+    of 1 and windows longer than the series."""
+    got = exploration_end(series, tol=tol, window=window)
+    want = sliced_exploration_end(series, tol=tol, window=window)
+    assert got == want
+    assert type(got) is type(want)
 
 
 # -- backtracking -------------------------------------------------------------
@@ -449,6 +477,47 @@ def test_aggregate_order_invariance():
             assert b[key] is None
         else:
             assert a[key] == b[key], key
+
+
+def per_element_record(t):
+    """trajectory_to_record with every array element converted by float()
+    or int(): the reference for its .tolist() fields."""
+    return {
+        "item_id": t.item_id,
+        "variant": t.variant,
+        "perm_index": t.perm_index,
+        "k": t.k,
+        "option_probs": [[float(x) for x in row] for row in t.option_probs],
+        "full_entropy": [float(x) for x in t.full_entropy],
+        "renorm_entropy": [float(x) for x in t.renorm_entropy],
+        "argmax_series": [int(x) for x in t.argmax_series],
+        "step_kl": [float(x) for x in t.step_kl_series],
+        "correct_index": t.correct_index,
+        "similarities": [float(x) for x in t.similarities],
+        "options": list(t.options),
+        "entropy_units": "nats",
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_record_json_matches_per_element_conversion(dtype):
+    rng = np.random.default_rng(4)
+    k = 9
+    probs = rng.dirichlet(np.full(4, 0.3), size=k)
+    kl = rng.exponential(0.02, size=k - 1)
+    kl[:3] = [1e-30, np.nan, np.inf]
+    t = BeliefTrajectory(
+        item_id="q1", variant="Base", perm_index=2, k=k,
+        option_probs=probs.astype(dtype),
+        full_entropy=rng.exponential(2.0, size=k).astype(dtype),
+        renorm_entropy=rng.uniform(0.0, math.log(4), size=k).astype(dtype),
+        argmax_series=probs.argmax(axis=1), step_kl_series=kl.astype(dtype),
+        correct_index=1, similarities=[0.25, 1.0, 0.5, 0.75],
+        options=["w", "x", "y", "z"])
+    got = trajectory_to_record(t)
+    assert json.dumps(got, sort_keys=True) == json.dumps(
+        per_element_record(t), sort_keys=True)
+    assert type(got["argmax_series"][0]) is int
 
 
 def test_trajectory_jsonl_round_trip(tmp_path):

@@ -390,7 +390,8 @@ def test_layer_buffers_are_aligned_and_share_no_memory(monkeypatch):
     loss_and_grads(tokens, np.arange(len(tokens)), params, 3, workspace)
     for keys, buf in workspace.caches:
         assert_aligned_and_apart(keys)
-        assert_aligned_and_apart(buf)
+        # GELU's output overwrites its input, as in inference
+        assert_aligned_and_apart(buf, alias={"act", "hidden"})
     assert_aligned_and_apart(workspace.grads)
     outs = workspace.outs
     assert len(outs) == len(params.prelude + params.coda) + 3 * len(

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
-from loopscope.svgplot import emit_entropy_plot, emit_trajectory_plot
+import loopscope
+from loopscope.svgplot import _escape, emit_entropy_plot, emit_trajectory_plot
 from tests.test_metrics import make_traj
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -124,3 +129,21 @@ def test_svg_deterministic_bytes():
     k = 5
     curves = {"Base": (np.ones(k), np.ones(k) * 0.9, np.ones(k) * 1.1)}
     assert emit_entropy_plot(curves) == emit_entropy_plot(curves)
+
+
+def test_escape_matches_saxutils():
+    for text in ("", "Base", "a & b", "<g>", "x > y < z", "&amp; &lt;x&gt;",
+                 "&&<<>>", "it's \"quoted\"", "mixed & <'\"> &amp;"):
+        assert _escape(text) == escape(text), text
+
+
+def test_import_loads_neither_xml_sax_nor_urllib():
+    """import loopscope stays light: xml.sax and urllib.request (which
+    loads http.client and email) are not among what it imports."""
+    src = os.path.dirname(os.path.dirname(loopscope.__file__))
+    code = ("import sys, loopscope; print(sorted(m for m in "
+            "('xml.sax', 'urllib.request') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
