@@ -1,11 +1,12 @@
 """Weights, their error types and the finite-difference gradient oracle.
 
 A weight (`Tensor2`) is a row-major (rows, cols) float array with a
-gradient slot. The backward passes in `layers` and `model` add each
-weight's gradient into that slot; `finite_diff_check` compares those
-gradients against central differences. `NumericError` and `ShapeError`
-name non-finite values and mismatched shapes. float64 is used for gradient
-checking, float32 for training.
+gradient slot. `model.loss_and_grads` points each weight's slot at a zeroed
+slice of its workspace's one gradient vector (`layers.Workspace.bind_grads`),
+and the backward passes in `layers` and `model` add into it.
+`finite_diff_check` compares those gradients against central differences.
+`NumericError` and `ShapeError` name non-finite values and mismatched
+shapes. float64 is used for gradient checking, float32 for training.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ class ShapeError(ValueError):
 
 
 class Tensor2:
-    """A 2-D weight: its value `.data` and the gradient `.grad` a backward
-    pass adds into (None until the first contribution)."""
+    """A 2-D weight: its value `.data` and its gradient `.grad`, None until
+    a backward binds it to a slice of a workspace's gradient vector
+    (`layers.Workspace.bind_grads`). A bound .grad is valid until the next
+    `model.loss_and_grads` on that workspace, which overwrites it."""
 
     __slots__ = ("data", "grad")
 
@@ -32,16 +35,6 @@ class Tensor2:
         if self.data.ndim != 2:
             raise ShapeError(f"expected 2 dimensions, got shape {self.data.shape}")
         self.grad = None
-
-    def add_grad(self, g: np.ndarray) -> None:
-        """Add one contribution to .grad. The first is kept as given, so it
-        must be an array that nothing else holds: never a workspace buffer
-        (layers.Workspace, GradBuffers), which .grad would alias and the
-        next layer's backward overwrite."""
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
 
 
 # -- gradient checking ---------------------------------------------------
@@ -52,15 +45,14 @@ def finite_diff_check(fn, params, eps: float = 1e-5, max_coords: int = 25,
     """Compare analytic gradients against central differences.
 
     fn takes no arguments, reads `params` (objects with a `.data` array) and
-    returns (loss, grads): a scalar loss and one gradient array per param,
-    or None for a param the loss does not depend on. Returns the max
-    relative error over sampled coordinates:
+    returns (loss, grads): a scalar loss and one gradient array per param.
+    Returns the max relative error over sampled coordinates:
     |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     _, grads = fn()
-    grads = [None if g is None else np.array(g) for g in grads]
+    grads = [np.array(g) for g in grads]
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -76,7 +68,7 @@ def finite_diff_check(fn, params, eps: float = 1e-5, max_coords: int = 25,
             lo = float(fn()[0])
             flat[c] = orig
             numeric = (hi - lo) / (2.0 * eps)
-            analytic = 0.0 if g is None else float(g.reshape(-1)[c])
+            analytic = float(g.reshape(-1)[c])
             err = abs(analytic - numeric) / (abs(analytic) + abs(numeric) + 1e-12)
             worst = max(worst, err)
     return worst

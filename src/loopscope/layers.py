@@ -288,12 +288,14 @@ def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
 # -- backward -------------------------------------------------------------------
 #
 # Where a state feeds both a residual skip and a layernorm, its gradient is
-# the skip's gradient with the layernorm branch's added to it. Each weight
-# adds its gradient into .grad, so a weight that several layer applications
-# share sums their gradients in the order the backward visits them. Products
-# are spelled np.matmul, not @, so a test can watch every operand's dtype.
-# Every activation gradient lives in GradBuffers and is computed in place,
-# with the op sequence, and so the rounding, of the plain formula beside it.
+# the skip's gradient with the layernorm branch's added to it. Each weight's
+# .grad is its zeroed slice of the Workspace's gradient vector (bind_grads)
+# and every backward site adds into it with +=, so a weight that several
+# layer applications share sums their gradients in the order the backward
+# visits them. Products are spelled np.matmul, not @, so a test can watch
+# every operand's dtype. Every activation gradient lives in GradBuffers and
+# is computed in place, with the op sequence, and so the rounding, of the
+# plain formula beside it.
 
 
 class NormGrads:
@@ -337,7 +339,8 @@ def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
     """Gradient with respect to x of layer_norm_into(x, gain, bias, ...)
     given g, the gradient with respect to its output, and the row `mean`
     and 1/sigma (`rstd`) that forward left. Adds the affine's gradients into
-    gain.grad and bias.grad. x-hat is re-formed with the forward's two ops
+    gain.grad and bias.grad, which must be bound (Workspace.bind_grads or
+    zeroed arrays). x-hat is re-formed with the forward's two ops
     and left in work.xhat. Returns work.gdy, which the next call on `work`
     overwrites."""
     n = x.shape[1]
@@ -345,8 +348,8 @@ def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
     np.subtract(x, mean, out=xhat)
     xhat *= rstd
     np.multiply(g, xhat, out=prod)
-    gain.add_grad(prod.sum(axis=0, keepdims=True))
-    bias.add_grad(g.sum(axis=0, keepdims=True))
+    gain.grad += prod.sum(axis=0, keepdims=True)
+    bias.grad += g.sum(axis=0, keepdims=True)
     # dx = rstd * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), gdy = g * gain
     np.multiply(g, gain.data, out=gdy)
     np.add.reduce(gdy, axis=1, keepdims=True, out=work.mean_gdy)
@@ -384,12 +387,12 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     """Backward of the whole-sequence layer_forward(x, p, keys, buf, out)
     (n_q = n_x = n_k): returns the gradient with respect to x given dout,
     the gradient with respect to out, and adds each weight's gradient into
-    its .grad. The fields of keys and buf that a Workspace cache keeps
-    (_CACHED_KEYS, _CACHED) must still hold that forward's values, and stay
-    unchanged; both layernorm outputs, GELU's input, tanh and output and
-    the attention context are rebuilt from them, and buf.hidden (which is
-    buf.act) and buf.tmp are scratch. The result is grads.dres, which dout
-    may be."""
+    its bound .grad (Workspace.bind_grads). The fields of keys and buf that
+    a Workspace cache keeps (_CACHED_KEYS, _CACHED) must still hold that
+    forward's values, and stay unchanged; both layernorm outputs, GELU's
+    input, tanh and output and the attention context are rebuilt from them,
+    and buf.hidden (which is buf.act) and buf.tmp are scratch. The result
+    is grads.dres, which dout may be."""
     batch, seq, n_heads, dh = buf.shape
     d = x.shape[1]
     dres = grads.dres
@@ -398,7 +401,7 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     # MLP sublayer. LN2's x-hat, re-formed as layer_norm_backward does,
     # gives LN2's output and GELU's input by the forward's ops; GELU's
     # output overwrites its input and is free once W2's gradient is taken
-    p.b_mlp2.add_grad(dres.sum(axis=0, keepdims=True))
+    p.b_mlp2.grad += dres.sum(axis=0, keepdims=True)
     np.matmul(dres, p.w_mlp2.data.T, out=grads.dact)
     np.subtract(buf.mid, buf.mean, out=grads.xhat)
     grads.xhat *= buf.stat
@@ -406,14 +409,14 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     np.matmul(grads.ln, p.w_mlp1.data, out=buf.hidden)
     buf.hidden += p.b_mlp1.data
     _gelu(buf.hidden, grads.sq, grads.t, buf.tmp, grads.half, buf.act)
-    p.w_mlp2.add_grad(np.matmul(buf.act.T, dres))
+    p.w_mlp2.grad += np.matmul(buf.act.T, dres)
     _gelu_backward(grads.dact, grads.sq, grads.t, buf.tmp, grads.half,
                    buf.act)
-    p.b_mlp1.add_grad(grads.dact.sum(axis=0, keepdims=True))
+    p.b_mlp1.grad += grads.dact.sum(axis=0, keepdims=True)
     np.matmul(grads.dact, p.w_mlp1.data.T, out=grads.dln)
     dres += layer_norm_backward(buf.mid, buf.mean, buf.stat, p.ln2_g,
                                 p.ln2_b, grads.dln, grads)
-    p.w_mlp1.add_grad(np.matmul(grads.ln.T, grads.dact))
+    p.w_mlp1.grad += np.matmul(grads.ln.T, grads.dact)
 
     # attention sublayer; the context is rebuilt by the forward's product
     # into grads.dctx, which its gradient overwrites once W_out's is taken
@@ -421,8 +424,8 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], seq) for i in range(2))
     dctx = buf.heads(grads.dctx, seq)
     np.matmul(buf.scores, v, out=dctx)
-    p.w_out.add_grad(np.matmul(grads.dctx.T, dres))
-    p.b_out.add_grad(dres.sum(axis=0, keepdims=True))
+    p.w_out.grad += np.matmul(grads.dctx.T, dres)
+    p.b_out.grad += dres.sum(axis=0, keepdims=True)
     np.matmul(dres, p.w_out.data.T, out=grads.dctx)
     dq, dk, dv = (buf.heads(grads.dqkv[:, i * d:(i + 1) * d], seq)
                   for i in range(3))
@@ -443,7 +446,7 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     dres += layer_norm_backward(x, keys.mean, keys.stat, p.ln1_g, p.ln1_b,
                                 grads.dln, grads)
     _affine(grads.xhat, p.ln1_g.data, p.ln1_b.data, grads.ln)
-    p.w_qkv.add_grad(np.matmul(grads.ln.T, grads.dqkv))
+    p.w_qkv.grad += np.matmul(grads.ln.T, grads.dqkv)
     return dres
 
 
@@ -460,16 +463,32 @@ class Workspace:
     application (_CACHED, _CACHED_KEYS), made when a step first needs them,
     the forward scratch that all applications share (Buffers.ln, .proj,
     .hidden, .tmp, .ctx and .smax, KeyBuffers.ln and .scratch) and one
-    GradBuffers. The backward rebuilds the layernorm outputs, GELU's input,
-    tanh and output and the attention context from the cache into the
-    scratch. Like every layer buffer, each array is 64-byte aligned when
-    it is made (_empty). A step overwrites the previous step's states and
-    caches. A step whose batch shape, width or dtype differs from the
-    previous step's starts over with new buffers; in training that is an
-    epoch's smaller last batch and the step after it."""
+    GradBuffers, and the weights' gradients (bind_grads). The backward
+    rebuilds the layernorm outputs, GELU's input, tanh and output and the
+    attention context from the cache into the scratch. Like every layer
+    buffer, each array is 64-byte aligned when it is made (_empty). A step
+    overwrites the previous step's states, caches and gradients. A step
+    whose batch shape, width or dtype differs from the previous step's
+    starts over with new buffers; in training that is an epoch's smaller
+    last batch and the step after it."""
 
     def __init__(self):
         self.key = None
+        self.grad = np.empty(0)
+
+    def bind_grads(self, tensors) -> None:
+        """Zero the one gradient vector, made again only when the parameter
+        count or dtype changes, and point the .grad of each of the list
+        `tensors` at its own slice of it, in order."""
+        size = sum(t.data.size for t in tensors)
+        dtype = np.result_type(*(t.data.dtype for t in tensors))
+        if (self.grad.size, self.grad.dtype) != (size, dtype):
+            self.grad = _empty((size,), dtype)
+        self.grad.fill(0)
+        start = 0
+        for t in tensors:
+            t.grad = self.grad[start:start + t.data.size].reshape(t.data.shape)
+            start += t.data.size
 
     def prepare(self, x: np.ndarray, seq: int, d_mlp: int, n_heads: int,
                 n_layers: int) -> None:
@@ -513,9 +532,10 @@ def stack_forward(x: np.ndarray, layers, n_heads: int, seq: int,
 def stack_backward(dout: np.ndarray, states, caches,
                    workspace: Workspace) -> np.ndarray:
     """Gradient with respect to the input of stack_forward, given dout with
-    respect to its output; each weight's gradient goes into its .grad. The
-    scratch, and the returned array, are the GradBuffers of `workspace`,
-    the one stack_forward filled."""
+    respect to its output; each weight's gradient is added into its .grad,
+    which the caller binds first (Workspace.bind_grads). The scratch, and
+    the returned array, are the GradBuffers of `workspace`, the one
+    stack_forward filled."""
     for x, (p, keys, buf) in zip(reversed(states[:-1]), reversed(caches)):
         dout = layer_backward(dout, x, p, keys, buf, workspace.grads)
     return dout

@@ -185,8 +185,10 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int,
 
     Runs embed -> prelude -> k recurrent steps -> coda -> final norm -> tied
     LM head at the last position of each sequence, and returns the mean
-    cross-entropy against `targets`. Every weight's gradient is added into
-    its .grad, through all k steps (full unroll, no truncation). Each layer
+    cross-entropy against `targets`. Every weight's gradient, through all k
+    steps (full unroll, no truncation), is written to its .grad: a slice of
+    the workspace's one gradient vector (Workspace.bind_grads), valid until
+    the next loss_and_grads on the same workspace. Each layer
     application keeps its own cache of what a GEMM or a reduction produced
     and its backward reads, with the row mean and 1/sigma of both its
     layernorms, and a reverse loop over them, which rebuilds the
@@ -219,19 +221,19 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int,
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss} at depth k={k}")
 
+    workspace.bind_grads([t for _, t in params.named_tensors()])
     dnormed = np.zeros_like(normed)
     np.add.at(dnormed, last, np.matmul(dlogits, emb))
-    params.embedding.add_grad(np.matmul(dlogits.T, answer))
     dh = layer_norm_backward(top, mean, rstd, params.final_ln_g,
                              params.final_ln_b, dnormed, workspace.grads)
     dh = stack_backward(dh, states, caches, workspace)
-    # the input's two row gathers scatter-add into zeros, then into .grad,
-    # where the embedding already holds the head's gradient
-    for weight, index in ((params.pos, np.tile(np.arange(seq), batch)),
-                          (params.embedding, ids.reshape(-1))):
-        grad = np.zeros_like(weight.data)
-        np.add.at(grad, index, dh)
-        weight.add_grad(grad)
+    # the input's two row gathers scatter-add straight into their zeroed
+    # gradients; the tied head's gradient is added to the embedding's after
+    # that. One IEEE add commutes, so this sum has the bits of the head's
+    # gradient plus the scatter's
+    np.add.at(params.pos.grad, np.tile(np.arange(seq), batch), dh)
+    np.add.at(params.embedding.grad, ids.reshape(-1), dh)
+    params.embedding.grad += np.matmul(dlogits.T, answer)
     return float(loss)
 
 

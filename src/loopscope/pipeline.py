@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("train must be a TrainConfig or a dict of its fields")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        # the model fields, checked by the model's own config at any vocab
+        self.model_config(vocab_size=1)
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be >= 1")
         if not 0 <= self.holdout_stems < self.n_stems:
@@ -454,6 +456,47 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # -- verification --------------------------------------------------------------
 
+def _trajectory_problems(trajectories, k: int, vocab: int) -> list:
+    """The rows (item_id, variant, perm_index) of trajectories that break
+    an invariant of belief_trajectory's output at depth k: k steps of each
+    series and k - 1 step KLs; the argmax agrees with option_probs; the
+    option masses are nonnegative and sum to at most 1; full_entropy lies
+    in [0, ln vocab] and renorm_entropy in [0, ln 4], each bound within
+    1e-9. A NaN breaks every bound."""
+    def row(t):
+        return f"{TRAJ_FILE}: row ({t.item_id}, {t.variant}, {t.perm_index})"
+
+    shapes = {"option_probs": (k, 4), "full_entropy": (k,),
+              "renorm_entropy": (k,), "argmax_series": (k,),
+              "step_kl_series": (k - 1,)}
+    problems = [f"{row(t)}: series not of depth {k}" for t in trajectories
+                if t.k != k or any(np.shape(getattr(t, name)) != shape
+                                   for name, shape in shapes.items())]
+    if problems or not trajectories:
+        return problems
+
+    def stack(name):
+        return np.stack([getattr(t, name) for t in trajectories])
+
+    def outside(x, hi):
+        return ~((-1e-9 <= x) & (x <= hi + 1e-9))
+
+    probs = stack("option_probs")
+    broken = {
+        "argmax_series disagrees with option_probs":
+            stack("argmax_series") != probs.argmax(axis=2),
+        "option masses negative or summing above 1":
+            (probs < 0).any(axis=2) | outside(probs.sum(axis=2), 1.0),
+        f"full_entropy outside [0, ln {vocab}]":
+            outside(stack("full_entropy"), np.log(vocab)),
+        "renorm_entropy outside [0, ln 4]":
+            outside(stack("renorm_entropy"), np.log(4)),
+    }
+    for what, bad in broken.items():
+        problems += [f"{row(trajectories[i])}: {what}"
+                     for i in np.flatnonzero(bad.any(axis=1))]
+    return problems
+
 
 def verify(output_dir) -> list:
     """Self-consistency check of a finished run. Returns a list of problem
@@ -496,13 +539,30 @@ def verify(output_dir) -> list:
     if problems:
         return problems
 
-    # every analysis table, rebuilt from the trajectories by the writer's
-    # own row builders
+    import xml.etree.ElementTree as ET
+    for name in (FIG_TRAJ_FILE, FIG_ENTROPY_FILE):
+        try:
+            ET.parse(os.path.join(output_dir, name))
+        except ET.ParseError as e:
+            problems.append(f"{name}: not well-formed XML ({e})")
     try:
-        report = _report(config, read_trajectories_jsonl(
-            os.path.join(output_dir, TRAJ_FILE)))
+        vocab = load_checkpoint(
+            os.path.join(output_dir, CKPT_FILE)).config.vocab_size
+    except Exception as e:
+        return problems + [f"{CKPT_FILE}: failed to load ({e})"]
+
+    # the trajectories' invariants, then every analysis table, rebuilt from
+    # them by the writer's own row builders
+    try:
+        trajectories = read_trajectories_jsonl(
+            os.path.join(output_dir, TRAJ_FILE))
+        broken = _trajectory_problems(trajectories, config.k, vocab)
+        if broken:
+            return problems + broken
+        report = _report(config, trajectories)
     except Exception as e:       # verify reports, and never raises
-        return [f"{TRAJ_FILE}: cannot be analyzed ({type(e).__name__}: {e})"]
+        return problems + [f"{TRAJ_FILE}: cannot be analyzed "
+                           f"({type(e).__name__}: {e})"]
     for name, expected in _tables(report.summary,
                                   report.entropy_curves).items():
         try:
@@ -518,15 +578,4 @@ def verify(output_dir) -> list:
         if len(rows) != len(expected):
             problems.append(f"{name}: {len(rows)} rows, the recomputation "
                             f"has {len(expected)}")
-
-    import xml.etree.ElementTree as ET
-    for name in (FIG_TRAJ_FILE, FIG_ENTROPY_FILE):
-        try:
-            ET.parse(os.path.join(output_dir, name))
-        except ET.ParseError as e:
-            problems.append(f"{name}: not well-formed XML ({e})")
-    try:
-        load_checkpoint(os.path.join(output_dir, CKPT_FILE))
-    except Exception as e:
-        problems.append(f"{CKPT_FILE}: failed to load ({e})")
     return problems

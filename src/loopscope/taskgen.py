@@ -90,6 +90,9 @@ def build_world(seed: int, n_categories: int = 6, entities_per_category: int = 1
     """
     if min(n_categories, entities_per_category, n_attributes, n_values) < 2:
         raise ValueError("all world dimensions must be >= 2")
+    if not 0 <= category_coherence <= 1:
+        raise ValueError(f"category_coherence {category_coherence} must lie "
+                         "in [0, 1]")
     total_vocab = (len(SPECIALS) + n_attributes + n_values
                    + n_categories * entities_per_category)
     if total_vocab > vocab_budget:
@@ -316,6 +319,9 @@ def generate_benchmark(world: SyntheticWorld, n_stems: int, seed: int,
                        n_permutations: int = 25,
                        max_attempts: int = 100000) -> Benchmark:
     """Deterministic benchmark of n_stems distinct stems x 3 variants."""
+    if not 0 <= two_hop_fraction <= 1:
+        raise ValueError(f"two_hop_fraction {two_hop_fraction} must lie in "
+                         "[0, 1]")
     rng = np.random.default_rng(derive_seed(seed, "items"))
     items = []
     seen = set()

@@ -78,12 +78,6 @@ class AdamW:
         self.m = [np.zeros_like(t.data) for _, t in self.named]
         self.v = [np.zeros_like(t.data) for _, t in self.named]
         self.t = 0
-        # flat scratch, viewed at each tensor's shape: two arrays in each
-        # weight dtype, and the float64 update of a float32 weight (see step)
-        size = max(t.data.size for _, t in self.named)
-        self.scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype))
-                        for dtype in {t.data.dtype for _, t in self.named}}
-        self.wide = np.empty(size, np.float64)
 
     def lr_at(self, t: int) -> float:
         cfg = self.config
@@ -95,7 +89,7 @@ class AdamW:
         return lr
 
     def step(self):
-        """One update of every weight that has a gradient, in place:
+        """One update of every weight from its .grad, in place:
         w -= lr mhat / (sqrt(vhat) + eps), then w -= lr wd w for a matrix,
         each op in the dtype NumPy's promotion rules give these formulas.
         Under cosine decay lr is an np.float64 (from np.cos), so the update
@@ -110,34 +104,13 @@ class AdamW:
         bias2 = 1.0 - b2 ** self.t
         for m, v, (_, p) in zip(self.m, self.v, self.named):
             g = p.grad
-            if g is None:
-                continue
-            a, b = (s[:g.size].reshape(g.shape)
-                    for s in self.scratch[p.data.dtype])
-            m *= b1                             # m = b1 m + (1 - b1) g
-            np.multiply(g, 1 - b1, out=a)
-            m += a
-            v *= b2                             # v = b2 v + (1 - b2) g g
-            np.multiply(g, 1 - b2, out=a)
-            a *= g
-            v += a
-            np.divide(m, bias1, out=a)          # mhat
-            np.divide(v, bias2, out=b)          # sqrt(vhat) + eps
-            np.sqrt(b, out=b)
-            b += cfg.eps
-            update = a
-            if np.result_type(lr, a) != a.dtype:
-                update = self.wide[:g.size].reshape(g.shape)
-            np.multiply(a, lr, out=update)
-            update /= b
-            p.data -= update
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
             if cfg.weight_decay and min(p.data.shape) > 1:
-                np.multiply(p.data, lr * cfg.weight_decay, out=update)
-                p.data -= update
-
-    def zero_grad(self):
-        for _, p in self.named:
-            p.grad = None
+                p.data -= lr * cfg.weight_decay * p.data
 
 
 def train_step(params: LoopedModelParams, batch, k: int, optimizer: AdamW,
@@ -148,7 +121,6 @@ def train_step(params: LoopedModelParams, batch, k: int, optimizer: AdamW,
     (full unroll, no truncation); see `model.loss_and_grads`, which keeps
     its buffers in `workspace` (None: fresh ones)."""
     tokens, targets = batch
-    optimizer.zero_grad()
     loss = loss_and_grads(tokens, targets, params, k, workspace)
     optimizer.step()
     return loss

@@ -106,9 +106,8 @@ def test_autodiff_soundness_two_layer_stack_and_unrolled_loop():
     weights = [t for lp in layers for _, t in lp.tensors()]
 
     def two_layer():
-        for t in weights:
-            t.grad = None
         workspace = Workspace()
+        workspace.bind_grads(weights)
         states, caches = stack_forward(x.data, layers, heads, seq, workspace)
         loss, dh = cross_entropy(states[-1], targets)
         dx = stack_backward(dh, states, caches, workspace)
@@ -126,8 +125,6 @@ def test_autodiff_soundness_two_layer_stack_and_unrolled_loop():
     tensors = [t for _, t in params.named_tensors()]
 
     def looped_k3():
-        for t in tensors:
-            t.grad = None
         return loss_and_grads(tokens, tgt, params, 3), [t.grad for t in tensors]
 
     err = finite_diff_check(looped_k3, tensors, eps=1e-5, max_coords=3, seed=5)

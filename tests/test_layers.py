@@ -111,9 +111,8 @@ def test_two_layer_stack_gradcheck():
     weights = [t for _, t in l1.tensors()] + [t for _, t in l2.tensors()]
 
     def f():
-        for t in weights:
-            t.grad = None
         workspace = Workspace()
+        workspace.bind_grads(weights)
         states, caches = stack_forward(x.data, [l1, l2], 2, 4, workspace)
         h = states[-1][[3]]
         loss, dlogits = cross_entropy(h @ emb.data.T, [4])
@@ -282,6 +281,7 @@ def test_in_place_backward_matches_the_plain_formulas_bit_for_bit(dtype):
     x = rng.normal(size=(6 * 5, 16)).astype(dtype)
     dout = rng.normal(size=x.shape).astype(dtype)
     workspace = Workspace()
+    workspace.bind_grads([t for _, t in layer.tensors()])
     states, caches = stack_forward(x, [layer], 4, 5, workspace)
     want_dx, want = plain_layer_backward(
         dout, x, *caches[0], *plain_rebuilt(x, *caches[0]))
@@ -305,6 +305,8 @@ def test_shared_weights_backward_matches_each_application_alone(dtype):
     x = rng.normal(size=(6 * 5, 16)).astype(dtype)
     dout = rng.normal(size=x.shape).astype(dtype)
     workspace = Workspace()
+    workspace.bind_grads([t for layer in [first] + shared
+                          for _, t in layer.tensors()])
     states, caches = stack_forward(x, stack, 4, 5, workspace)
     got_dx = stack_backward(dout, states, caches, workspace)
 

@@ -129,8 +129,6 @@ def test_loss_and_grads_is_pure(params):
     before = [t.data.copy() for _, t in params.named_tensors()]
     runs = []
     for _ in range(2):
-        for _, t in params.named_tensors():
-            t.grad = None
         loss = loss_and_grads(tokens, targets, params, 2)
         runs.append((loss, [t.grad for _, t in params.named_tensors()]))
     assert runs[0][0] == runs[1][0]
@@ -138,7 +136,6 @@ def test_loss_and_grads_is_pure(params):
         assert np.array_equal(a, b)
     for w, (_, t) in zip(before, params.named_tensors()):
         assert np.array_equal(w, t.data)
-        t.grad = None
 
 
 def test_recurrent_matches_unrolled_naive_oracle():

@@ -282,6 +282,54 @@ def test_unwritable_output_dir_aborts_early(tmp_path):
         check_output_dir(config)
 
 
+def _flip_argmax(rec):
+    rec["argmax_series"][0] = (rec["argmax_series"][0] + 1) % 4
+
+
+def _set_first(field, value):
+    def edit(rec):
+        rec[field][0] = value
+    return edit
+
+
+def _drop_last(field):
+    def edit(rec):
+        rec[field].pop()
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _flip_argmax, _set_first("option_probs", [0.5, 0.5, 0.5, 0.0]),
+    _set_first("option_probs", [-0.1, 0.3, 0.3, 0.3]),
+    _set_first("full_entropy", 10.0), _set_first("full_entropy", -0.1),
+    _set_first("full_entropy", float("nan")),
+    _set_first("renorm_entropy", 1.5), _drop_last("step_kl"),
+    _drop_last("option_probs"),
+], ids=["argmax", "mass_above_one", "negative_mass", "entropy_above_ln_vocab",
+        "negative_entropy", "nan_entropy", "renorm_above_ln_4",
+        "short_kl", "short_option_probs"])
+def test_verify_checks_trajectory_invariants(run, tmp_path, edit):
+    """A trajectory row rewritten to break an invariant, with its file's
+    hash updated in the manifest, fails verify with problems that name the
+    file and the row."""
+    config, _ = run
+    out = tmp_path / "run"
+    shutil.copytree(config.output_dir, out)
+    lines = (out / TRAJ_FILE).read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec, sort_keys=True)
+    (out / TRAJ_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = json.loads((out / MANIFEST_FILE).read_text())
+    manifest["files"][TRAJ_FILE] = hashlib.sha256(
+        (out / TRAJ_FILE).read_bytes()).hexdigest()
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest))
+    problems = verify(str(out))
+    row = f"({rec['item_id']}, {rec['variant']}, {rec['perm_index']})"
+    assert problems and all(p.startswith(f"{TRAJ_FILE}: row {row}: ")
+                            for p in problems), problems
+
+
 def test_config_json_round_trip(tmp_path):
     config = tiny_config(tmp_path / "x", seed=42)
     path = tmp_path / "config.json"
@@ -293,9 +341,21 @@ def test_config_json_round_trip(tmp_path):
 def test_config_validation():
     for bad in (dict(k=0), dict(n_stems=5, holdout_stems=5), dict(tol=0.0),
                 dict(window=0), dict(min_run=0), dict(n_resamples=0),
-                dict(level=0.0), dict(level=1.0), dict(level=1.5)):
+                dict(level=0.0), dict(level=1.0), dict(level=1.5),
+                # the model fields, checked as LoopedConfig checks them
+                dict(n_heads=3), dict(d_model=0), dict(recurrent_layers=0),
+                dict(coda_layers=0)):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+
+def test_cli_gen_bench_rejects_a_model_that_cannot_be_built(tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    assert cli_main(["gen-bench", "--n-heads", "3",
+                     "--output-dir", str(out)]) == 1
+    assert "n_heads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_known_stems_are_a_seeded_share_of_training_stems(tmp_path):

@@ -50,6 +50,19 @@ def test_world_vocab_budget():
                     n_attributes=4, vocab_budget=256)
 
 
+@pytest.mark.parametrize("coherence", [-0.1, 1.5, float("nan")])
+def test_world_rejects_coherence_outside_unit_interval(coherence):
+    with pytest.raises(ValueError, match="category_coherence"):
+        build_world(seed=1, category_coherence=coherence)
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_benchmark_rejects_two_hop_fraction_outside_unit_interval(world,
+                                                                   fraction):
+    with pytest.raises(ValueError, match="two_hop_fraction"):
+        generate_benchmark(world, n_stems=2, seed=1, two_hop_fraction=fraction)
+
+
 def test_every_entity_in_exactly_one_category(world):
     seen = {}
     for c in world.categories:

@@ -168,6 +168,28 @@ def test_workspace_reuse_is_invisible(world, bench, monkeypatch):
         assert np.array_equal(a.data, b.data), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grads_are_overwritten_slices_of_one_vector(world, bench, dtype):
+    """Each loss_and_grads on a workspace overwrites its gradients rather
+    than adding to the last call's: two calls give the same bits. Every
+    .grad is a view of the workspace's one vector, in the weights' dtype."""
+    params = init_params(small_config(world, k_max=3), seed=5, dtype=dtype)
+    items = [p for it in bench.items if it.variant == "Easy"
+             for p in bench.permutations_for(it)][:6]
+    tokens, targets = encode_dataset(items, world)
+    workspace = Workspace()
+    runs = []
+    for _ in range(2):
+        loss_and_grads(tokens, targets, params, 3, workspace)
+        runs.append([t.grad.copy() for _, t in params.named_tensors()])
+    for a, b, (name, t) in zip(*runs, params.named_tensors()):
+        assert np.array_equal(a, b), name
+        assert t.grad.dtype == dtype, name
+        assert np.shares_memory(t.grad, workspace.grad), name
+    assert workspace.grad.dtype == dtype
+    assert workspace.grad.size == params.n_params()
+
+
 def test_zero_lr_leaves_params_unchanged(world, bench):
     cfg = small_config(world)
     params = init_params(cfg, seed=0)
@@ -204,8 +226,6 @@ def test_unrolled_loop_gradcheck_float64(world, bench):
     tensors = [t for _, t in params.named_tensors()]
 
     def f():
-        for t in tensors:
-            t.grad = None
         return (loss_and_grads(tokens, targets, params, 3),
                 [t.grad for t in tensors])
 
@@ -339,24 +359,25 @@ def test_training_memory_stays_bounded():
     at most 52 MiB: each cache keeps what a GEMM or a reduction produced
     but GELU's input and the attention context, and the backward rebuilds
     those two and the elementwise results. A warm train_step
-    allocates at most 1 MiB above what it starts with (NumPy reports its
-    arrays to tracemalloc)."""
+    allocates at most 1 MiB above what it starts with, and ends holding at
+    most 64 KiB more: the gradients are written into the workspace's one
+    vector, not into new arrays (NumPy reports its arrays to
+    tracemalloc)."""
     params = init_params(LoopedConfig(vocab_size=45, max_seq=9, k_max=30),
                          seed=0)
     rng = np.random.default_rng(0)
     batch = (rng.integers(0, 45, size=(32, 9)), rng.integers(0, 45, size=32))
     opt = AdamW(params, TrainConfig(lr_decay="cosine"), total_steps=10)
     workspace = Workspace()
+    train_step(params, batch, 30, opt, workspace)
     tracemalloc.start()
     try:
         train_step(params, batch, 30, opt, workspace)
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        train_step(params, batch, 30, opt, workspace)
-        peak = tracemalloc.get_traced_memory()[1]
+        end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start <= 2 ** 20
+    assert end <= 64 * 2 ** 10
+    assert peak <= 2 ** 20
     assert len(workspace.caches) == 2 + 4 * 30 + 2
     arrays = {id(a): a for cache in workspace.caches for obj in cache
               for a in vars(obj).values() if isinstance(a, np.ndarray)}
