@@ -7,6 +7,8 @@ distribution at the answer position.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 from dataclasses import dataclass, field, asdict
@@ -282,35 +284,27 @@ _SHARD_ROWS = 48
 CHUNK_ROWS = 512
 
 
-def _blas_threads(environ, blas: str) -> int | None:
-    """The thread count an OpenBLAS named `blas` starts with, from the
-    variables it reads when it loads, in its order. None when none is set,
-    for then it takes every core, and None for any other BLAS (MKL reads
-    other variables)."""
-    if "openblas" not in blas.lower():
-        return None
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+def _numpy_openblas():
+    """The (get, set) thread-count calls of the OpenBLAS in NumPy's wheel
+    (numpy.libs), which NumPy has already loaded, or None when NumPy runs
+    on another BLAS (a system OpenBLAS, MKL, Accelerate)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "lib*openblas*")
+    for path in glob.glob(libs):
         try:
-            n = int(environ.get(var, ""))
-        except ValueError:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
             continue
-        if n > 0:
-            return n
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
     return None
 
 
-def _numpy_blas() -> str:
-    """The name of the BLAS NumPy was built on, or '' if it does not say."""
-    try:
-        return str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
-    except (AttributeError, KeyError, TypeError):
-        return ""
-
-
-# NumPy, and with it OpenBLAS, is loaded before this module; a thread count
-# changed later at run time (openblas_set_num_threads, threadpoolctl) is
-# not seen
-_BLAS_THREADS = _blas_threads(os.environ, _numpy_blas())
+_OPENBLAS = _numpy_openblas()
+_BLAS_PIN = threading.Lock()     # held while a call has changed the count
 
 
 def _usable_cores() -> int:
@@ -321,13 +315,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_workers(rows: int, cores: int, blas_threads: int | None) -> int:
-    """Threads `deliberate` runs `rows` on: one per core and at most one per
-    _SHARD_ROWS rows when BLAS runs on 1 thread, else 1. Shards calling a
-    multithreaded BLAS at once were slower (2 BLAS threads on 2 cores), and
-    more BLAS threads on more cores were not measured."""
-    if blas_threads != 1:
-        return 1
+def _shard_workers(rows: int, cores: int) -> int:
+    """Threads `deliberate` runs `rows` on over `cores` cores at 1 BLAS
+    thread: one per core and at most one per _SHARD_ROWS rows."""
     return max(1, min(cores, rows // _SHARD_ROWS))
 
 
@@ -356,25 +346,34 @@ def deliberate(tokens, params: LoopedModelParams, k: int,
     of the weights' dtype. With p = 0 (one row, or no shared prefix) the
     prefix half is skipped.
 
-    A batch of at least 2 * _SHARD_ROWS rows runs in row shards at the same
-    time when OpenBLAS runs on 1 thread (OPENBLAS_NUM_THREADS=1): one shard
-    on the calling thread and one per further usable core on worker threads
-    (NumPy releases the GIL in its loops and in BLAS), at least _SHARD_ROWS
-    rows each, so a trace batch uses every core. With BLAS threads unset or
-    above 1, or a BLAS other than OpenBLAS, every batch runs as one shard,
-    as does every batch below the floor. Shards take contiguous rows from
-    multiples of _SHARD_ROWS and each computes every prefix, so each row
-    sits at the same place in every product as with one shard. The beliefs
-    were checked bit-identical to one shard's with OpenBLAS 0.3.31 on 1
-    thread under its SkylakeX and Haswell kernels.
+    A call holds NumPy's bundled OpenBLAS at 1 thread, one call at a time,
+    and gives the caller's count back when it returns or raises; other
+    threads' BLAS work runs on 1 thread meanwhile. The beliefs thus do not
+    depend on the count, as some kernels' rounding does (Haswell). A batch
+    of at least 2 * _SHARD_ROWS rows runs in row shards at once: one on the
+    calling thread and one per further usable core on worker threads (NumPy
+    releases the GIL in its loops and in BLAS), at least _SHARD_ROWS rows
+    each. Smaller batches, and any batch under a BLAS whose threads cannot
+    be set here, run as one shard. Shards start at multiples of _SHARD_ROWS
+    and each computes every prefix, so each row sits where it would with one
+    shard; the beliefs were checked bit-identical to one shard's with
+    OpenBLAS 0.3.31 under its SkylakeX and Haswell kernels.
     """
-    return _deliberate(tokens, params, k, _usable_cores(), _BLAS_THREADS,
-                       steps)
+    if _OPENBLAS is None:
+        return _deliberate(tokens, params, k, 1, steps)
+    get_threads, set_threads = _OPENBLAS
+    with _BLAS_PIN:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            return _deliberate(tokens, params, k, _usable_cores(), steps)
+        finally:
+            set_threads(threads)
 
 
 def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,
-                blas_threads: int | None, steps=None) -> np.ndarray:
-    """`deliberate` in _shard_workers(batch, cores, blas_threads) shards."""
+                steps=None) -> np.ndarray:
+    """`deliberate` in _shard_workers(batch, cores) shards."""
     cfg = params.config
     if k < 1:
         raise ValueError("k must be >= 1 (decoding starts at step 1)")
@@ -390,7 +389,7 @@ def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,
     probs = np.empty((len(decoded), batch, cfg.vocab_size))
     # shard s starts at the multiple of _SHARD_ROWS at or below s * batch / n;
     # n <= batch / _SHARD_ROWS, so every shard gets at least _SHARD_ROWS rows
-    n = _shard_workers(batch, cores, blas_threads)
+    n = _shard_workers(batch, cores)
     cuts = [batch * s // n // _SHARD_ROWS * _SHARD_ROWS for s in range(n)]
     cuts.append(batch)
     errors = []     # nonempty: every shard stops at its next step

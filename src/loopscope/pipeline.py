@@ -2,9 +2,10 @@
 
 One master seed derives every stage seed, so a config reproduces the same
 benchmark JSONL, checkpoint, trajectory JSONL, CSV tables, and SVG figures
-byte for byte on one machine (float32 training follows the CPU's BLAS
-kernel, so the bytes differ across CPUs). A manifest with content hashes is
-written last; its absence marks a partial run.
+byte for byte given the same BLAS kernel (the CPU picks it) and, for
+training, the same BLAS thread count, by which some kernels round (Haswell).
+A manifest with content hashes is written last; its absence marks a partial
+run.
 """
 
 from __future__ import annotations
@@ -121,6 +122,9 @@ class ExperimentConfig:
             raise ValueError("window, min_run and n_resamples must be >= 1")
         if not 0 < self.level < 1:
             raise ValueError("level must lie in (0, 1)")
+        for name in ("category_coherence", "two_hop_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
         self.train_variants = tuple(self.train_variants)
         if not self.train_variants or not set(self.train_variants) <= {"Base", "Easy"}:
             raise ValueError("train_variants must be a nonempty subset of "

@@ -444,10 +444,10 @@ def test_sharded_deliberate_is_bit_identical_to_one_shard(name, dtype):
     tokens, want_p = SHARD_BATCHES[name]
     assert shared_prefix(tokens)[0] == want_p
     params = moved_params(dtype, SCFG)
-    one = model._deliberate(tokens, params, SCFG.k_max, 1, 1)
+    one = model._deliberate(tokens, params, SCFG.k_max, 1)
     for workers in (2, 3):
-        assert model._shard_workers(len(tokens), workers, 1) == workers
-        got = model._deliberate(tokens, params, SCFG.k_max, workers, 1)
+        assert model._shard_workers(len(tokens), workers) == workers
+        got = model._deliberate(tokens, params, SCFG.k_max, workers)
         assert np.array_equal(got, one)
     assert np.array_equal(deliberate(tokens, params, SCFG.k_max), one)
     assert np.abs(np.diff(one, axis=0)).max() > 1e-3
@@ -461,10 +461,10 @@ def test_deliberate_decodes_only_the_given_steps(cores):
     assert len(tokens) >= 2 * ROWS
     params = moved_params(np.float32, SCFG)
     k = SCFG.k_max
-    assert model._shard_workers(len(tokens), cores, 1) == cores
-    full = model._deliberate(tokens, params, k, cores, 1)
+    assert model._shard_workers(len(tokens), cores) == cores
+    full = model._deliberate(tokens, params, k, cores)
     for steps in ([k], [1, 3], [3, 1, 3], [2], range(1, k + 1)):
-        got = model._deliberate(tokens, params, k, cores, 1, steps=steps)
+        got = model._deliberate(tokens, params, k, cores, steps=steps)
         assert np.array_equal(got, full[np.array(steps) - 1])
     assert np.array_equal(deliberate(tokens, params, k - 1, steps=[2, 3]),
                           full[[1, 2]])
@@ -481,17 +481,69 @@ def test_deliberate_rejects_steps_outside_one_to_k():
 def test_more_shards_than_cores_are_bit_identical_and_leave_no_threads():
     tokens = stems_batch(13, [24] * 20, SCFG.max_seq, 4, SCFG.vocab_size)
     params = moved_params(np.float32, SCFG)
-    one = model._deliberate(tokens, params, SCFG.k_max, 1, 1)
+    one = model._deliberate(tokens, params, SCFG.k_max, 1)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)      # switch threads as often as possible
     try:
-        got = model._deliberate(tokens, params, SCFG.k_max, 8, 1)
+        got = model._deliberate(tokens, params, SCFG.k_max, 8)
     finally:
         sys.setswitchinterval(interval)
-    assert model._shard_workers(len(tokens), 8, 1) == 8
+    assert model._shard_workers(len(tokens), 8) == 8
     assert threading.active_count() == threads
     assert np.array_equal(got, one)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """NumPy's OpenBLAS at 2 threads during the test, so that a call which
+    holds it at 1 and does not give the count back shows; yields the
+    thread-count getter."""
+    if model._OPENBLAS is None:
+        pytest.skip("NumPy does not run on its bundled OpenBLAS")
+    get_threads, set_threads = model._OPENBLAS
+    threads = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(threads)
+
+
+def test_deliberate_runs_shards_at_one_blas_thread(monkeypatch,
+                                                   two_blas_threads):
+    beliefs, seen = model._beliefs, []
+
+    def spy(*args):
+        seen.append((len(args[0]), two_blas_threads()))
+        beliefs(*args)
+
+    tokens = SHARD_BATCHES["shuffled-stems"][0][:2 * ROWS]
+    params = moved_params(np.float32, SCFG)
+    one = model._deliberate(tokens, params, SCFG.k_max, 1)
+    monkeypatch.setattr(model, "_beliefs", spy)
+    monkeypatch.setattr(model, "_usable_cores", lambda: 2)
+    got = deliberate(tokens, params, SCFG.k_max)
+    assert seen == [(ROWS, 1), (ROWS, 1)]
+    assert two_blas_threads() == 2
+    assert np.array_equal(got, one)
+
+
+def test_deliberate_runs_one_shard_when_blas_threads_cannot_be_set(
+        monkeypatch):
+    beliefs, seen = model._beliefs, []
+
+    def spy(*args):
+        seen.append(len(args[0]))
+        beliefs(*args)
+
+    tokens = SHARD_BATCHES["shuffled-stems"][0][:2 * ROWS]
+    params = moved_params(np.float32, SCFG)
+    monkeypatch.setattr(model, "_usable_cores", lambda: 2)
+    sharded = deliberate(tokens, params, SCFG.k_max)
+    monkeypatch.setattr(model, "_OPENBLAS", None)
+    monkeypatch.setattr(model, "_beliefs", spy)
+    got = deliberate(tokens, params, SCFG.k_max)
+    assert seen == [len(tokens)]
+    assert np.array_equal(got, sharded)
 
 
 @pytest.mark.parametrize("on_worker,error", [
@@ -499,7 +551,8 @@ def test_more_shards_than_cores_are_bit_identical_and_leave_no_threads():
     (False, KeyboardInterrupt()),
 ])
 def test_an_error_in_a_shard_is_raised_once_every_worker_is_joined(
-        monkeypatch, on_worker, error):
+        monkeypatch, two_blas_threads, on_worker, error):
+    """The caller's BLAS thread count is given back as well."""
     beliefs = model._beliefs
 
     def failing(*args):
@@ -509,12 +562,13 @@ def test_an_error_in_a_shard_is_raised_once_every_worker_is_joined(
         beliefs(*args)
 
     monkeypatch.setattr(model, "_beliefs", failing)
+    monkeypatch.setattr(model, "_usable_cores", lambda: 3)
     tokens, _ = SHARD_BATCHES["no-common-prefix"]
     threads = threading.active_count()
     with pytest.raises(type(error)):
-        model._deliberate(tokens, moved_params(np.float32, SCFG), SCFG.k_max,
-                          3, 1)
+        deliberate(tokens, moved_params(np.float32, SCFG), SCFG.k_max)
     assert threading.active_count() == threads
+    assert two_blas_threads() == 2
 
 
 def test_an_interrupt_while_joining_stops_the_workers(monkeypatch):
@@ -545,7 +599,7 @@ def test_an_interrupt_while_joining_stops_the_workers(monkeypatch):
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         model._deliberate(tokens, moved_params(np.float32, SCFG), SCFG.k_max,
-                          3, 1)
+                          3)
     assert threading.active_count() == threads
     assert saw_stop == [True, True]
 
@@ -565,41 +619,19 @@ def test_shards_are_contiguous_from_multiples_of_the_floor(monkeypatch):
 
     monkeypatch.setattr(model, "_beliefs", spy)
     tokens, _ = SHARD_BATCHES["no-common-prefix"]     # 3 * ROWS + 7 rows
-    model._deliberate(tokens, moved_params(np.float32, SCFG), 1, 3, 1)
+    model._deliberate(tokens, moved_params(np.float32, SCFG), 1, 3)
     assert sorted(seen) == [ROWS, ROWS, ROWS + 7]
 
 
-@pytest.mark.parametrize("rows,cores,blas_threads,want", [
-    (504, 2, 1, 2),                  # OPENBLAS_NUM_THREADS=1 on 2 cores
-    (504, 8, 1, 8),
-    (504, 2, None, 1),               # unset: BLAS takes every core
-    (504, 2, 2, 1),                  # measured slower than one shard
-    (504, 8, 2, 1),                  # not measured: one shard
-    (504, 1, 1, 1),                  # one core
-    (2 * ROWS - 1, 2, 1, 1),         # below the floor
-    (2 * ROWS, 2, 1, 2),
-    (32, 2, 1, 1),                   # the train workload's per-epoch eval
-    (1, 2, 1, 1),
-    (0, 2, 1, 1),
+@pytest.mark.parametrize("rows,cores,want", [
+    (504, 2, 2),
+    (504, 8, 8),
+    (504, 1, 1),                     # one core
+    (2 * ROWS - 1, 2, 1),            # below the floor
+    (2 * ROWS, 2, 2),
+    (32, 2, 1),
+    (1, 2, 1),
+    (0, 2, 1),
 ])
-def test_shard_worker_count(rows, cores, blas_threads, want):
-    assert model._shard_workers(rows, cores, blas_threads) == want
-
-
-@pytest.mark.parametrize("environ,want", [
-    ({}, None),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ({"OMP_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, 3),
-    ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "many"}, None),
-])
-def test_blas_threads_read_like_openblas(environ, want):
-    assert model._blas_threads(environ, "scipy-openblas") == want
-
-
-@pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
-def test_blas_threads_of_another_blas_are_unknown(blas):
-    environ = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    assert model._blas_threads(environ, blas) is None
+def test_shard_worker_count(rows, cores, want):
+    assert model._shard_workers(rows, cores) == want

@@ -344,7 +344,11 @@ def test_config_validation():
                 dict(level=0.0), dict(level=1.0), dict(level=1.5),
                 # the model fields, checked as LoopedConfig checks them
                 dict(n_heads=3), dict(d_model=0), dict(recurrent_layers=0),
-                dict(coda_layers=0)):
+                dict(coda_layers=0),
+                dict(category_coherence=-0.1), dict(category_coherence=1.5),
+                dict(category_coherence=float("nan")),
+                dict(two_hop_fraction=2.0), dict(two_hop_fraction=-1e-9),
+                dict(two_hop_fraction=float("nan"))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
@@ -355,6 +359,15 @@ def test_cli_gen_bench_rejects_a_model_that_cannot_be_built(tmp_path,
     assert cli_main(["gen-bench", "--n-heads", "3",
                      "--output-dir", str(out)]) == 1
     assert "n_heads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--two-hop-fraction", "--category-coherence"])
+def test_cli_gen_bench_rejects_a_fraction_outside_zero_to_one(tmp_path, capsys,
+                                                              flag):
+    out = tmp_path / "out"
+    assert cli_main(["gen-bench", flag, "2", "--output-dir", str(out)]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
 
 
