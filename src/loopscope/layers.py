@@ -128,13 +128,25 @@ class KeyBuffers:
 
 class Buffers:
     """Query-side activation buffers for `batch` sequences queried at the
-    last n_q of their n_k positions, in one dtype."""
+    last n_q of their n_k positions, in one dtype.
+
+    The sequences may be `blocks` equal runs of batch / blocks sequences,
+    such as the states of several recurrence steps that inference decodes
+    in one pass. layer_forward then issues each of its four row-wise
+    products (queries, W_out, W_mlp1, W_mlp2) through a leading block axis,
+    so NumPy makes one BLAS call per block, with the rows, strides and
+    gemm/gemv choice that block alone would get, and every row keeps the
+    bits it has when its block runs by itself. Every other op of the layer
+    is elementwise, a reduction along a row, or a product per sequence or
+    per (sequence, head), and computes each row the same way in any
+    batch."""
 
     def __init__(self, batch: int, n_q: int, n_k: int, d_model: int,
-                 d_mlp: int, n_heads: int, dtype):
+                 d_mlp: int, n_heads: int, dtype, blocks: int = 1):
         rows = batch * n_q
         dh = d_model // n_heads
         self.shape = (batch, n_q, n_heads, dh)
+        self.blocks = blocks
         self.q = _empty((rows, d_model), dtype)
         self.mid = _empty((rows, d_model), dtype)       # state after attention
         self.ln = _empty((rows, d_model), dtype)        # normed MLP input
@@ -151,6 +163,13 @@ class Buffers:
         mask = np.triu(np.ones((n_q, n_k), dtype=bool), k=n_k - n_q + 1)
         self.mask = mask if mask.any() else None
         self.neg = np.finfo(dtype).min
+
+    def per_block(self, rows: np.ndarray) -> np.ndarray:
+        """The (rows, width) array `rows` as (blocks, rows/blocks, width)."""
+        if self.blocks == 1:
+            return rows
+        return rows.reshape(self.blocks, len(rows) // self.blocks,
+                            rows.shape[1])
 
     def heads(self, block: np.ndarray, n_pos: int):
         """(batch, heads, n_pos, dh) view of a (batch*n_pos, heads*dh) or
@@ -268,19 +287,21 @@ def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
     keys_values(x, p, keys)
     batch, n_q = buf.shape[:2]
     n_k = keys.kv.shape[1]
-    np.matmul(_last(keys.ln, batch, n_x, n_q), p.w_qkv.data[:, :d], out=buf.q)
+    blk = buf.per_block
+    np.matmul(blk(_last(keys.ln, batch, n_x, n_q)), p.w_qkv.data[:, :d],
+              out=blk(buf.q))
     k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], n_k) for i in range(2))
-    np.matmul(_attend(buf.heads(buf.q, n_q), k, v, buf), p.w_out.data,
-              out=buf.proj)
+    np.matmul(blk(_attend(buf.heads(buf.q, n_q), k, v, buf)), p.w_out.data,
+              out=blk(buf.proj))
     buf.proj += p.b_out.data
     np.add(_last(x, batch, n_x, n_q), buf.proj, out=buf.mid)
     # MLP sublayer: W2 gelu(LN2(mid) W1 + b1) + b2
     layer_norm_into(buf.mid, p.ln2_g.data, p.ln2_b.data, buf.ln, buf.proj,
                     buf.mean, buf.stat)
-    np.matmul(buf.ln, p.w_mlp1.data, out=buf.hidden)
+    np.matmul(blk(buf.ln), p.w_mlp1.data, out=blk(buf.hidden))
     buf.hidden += p.b_mlp1.data
     _gelu(buf.hidden, buf.tmp, buf.tmp, buf.tmp, buf.act, buf.act)
-    np.matmul(buf.act, p.w_mlp2.data, out=buf.proj)
+    np.matmul(blk(buf.act), p.w_mlp2.data, out=blk(buf.proj))
     buf.proj += p.b_mlp2.data
     np.add(buf.mid, buf.proj, out=x if out is None else out)
 

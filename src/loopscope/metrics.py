@@ -432,7 +432,37 @@ def trajectory_to_record(t: BeliefTrajectory) -> dict:
     }
 
 
+# the JSON types of a record's fields: the required ones, then the ones a
+# record may leave out
+_RECORD_FIELDS = {
+    "item_id": str, "variant": str, "perm_index": int, "k": int,
+    "option_probs": list, "full_entropy": list, "renorm_entropy": list,
+    "argmax_series": list, "step_kl": list, "correct_index": (int, type(None)),
+}
+_OPTIONAL_FIELDS = {"similarities": list, "options": list}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def record_to_trajectory(rec: dict) -> BeliefTrajectory:
+    """The trajectory of one trajectory_to_record record. Raises ValueError
+    on a record that is not an object, lacks a field, or holds a field of
+    the wrong JSON type (a bool is not an int)."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record is {_json_type(rec)}, not an object")
+    for name, kind in {**_RECORD_FIELDS, **_OPTIONAL_FIELDS}.items():
+        if name not in rec:
+            if name in _OPTIONAL_FIELDS:
+                continue
+            raise ValueError(f"record lacks field {name!r}")
+        value = rec[name]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"field {name!r} is {_json_type(value)}")
     return BeliefTrajectory(
         item_id=rec["item_id"], variant=rec["variant"],
         perm_index=rec["perm_index"], k=rec["k"],
@@ -453,5 +483,14 @@ def write_trajectories_jsonl(trajectories, path) -> None:
 
 
 def read_trajectories_jsonl(path):
+    """The trajectories of a write_trajectories_jsonl file. A line that is
+    not a well-formed record raises ValueError naming the file and the
+    line, counted from 1."""
+    out = []
     with open(path, encoding="utf-8") as f:
-        return [record_to_trajectory(json.loads(line)) for line in f]
+        for n, line in enumerate(f, 1):
+            try:
+                out.append(record_to_trajectory(json.loads(line)))
+            except (ValueError, TypeError) as e:
+                raise ValueError(f"{path} line {n}: {e}") from e
+    return out

@@ -307,6 +307,25 @@ _OPENBLAS = _numpy_openblas()
 _BLAS_PIN = threading.Lock()     # held while a call has changed the count
 
 
+# Rows of decoded states the coda takes in one pass. `deliberate` stacks
+# the states of up to _CODA_ROWS // (rows per step) decoded steps and runs
+# the coda, final norm, LM head and softmax once over them; the row-wise
+# products go per step (Buffers), so each belief keeps its bits. At batch 1
+# a pass saves the per-call cost of the steps it stacks; a layer's cost per
+# sequence stops falling above about 240 rows (SkylakeX, reference
+# dimensions). A larger budget would give training's 32-row evaluation a
+# stacked pass and its own buffers, and raise the training peak memory.
+_CODA_ROWS = 288
+
+
+def _coda_slots(rows_per_step: int, n_steps: int) -> int:
+    """Decoded steps per coda pass: as many as _CODA_ROWS rows hold, at
+    least one and at most n_steps; one for a step of no rows."""
+    if not rows_per_step:
+        return 1
+    return max(1, min(n_steps, _CODA_ROWS // rows_per_step))
+
+
 def _usable_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -330,12 +349,19 @@ def deliberate(tokens, params: LoopedModelParams, k: int,
     bit for bit the row of the full block. The recurrent block then runs to
     the deepest of them, and the coda, final norm and softmax only at them.
 
-    Inference keeps no cache for a backward: the activation buffers are
-    allocated once and reused by every layer and step. It computes in the
+    Inference keeps no cache for a backward: the recurrence's activation
+    buffers are allocated once and reused by every layer and step. The
+    decoded steps go through the coda in passes of up to _CODA_ROWS rows:
+    a pass stacks the states of as many steps as fit (every step of a
+    single question, one step of a trace shard) and runs the coda, final
+    norm, LM head and softmax once over the stack, with every row-wise
+    product issued per step (layers.Buffers). Each belief thus has the bits
+    it has when its step is decoded alone, so `steps=` and a smaller k give
+    exact rows and prefixes of the full block (steps are pure). A pass of
+    one step runs on the recurrence's own buffers. It computes in the
     weights' dtype; the softmax is taken in float64, so every row sums to 1
     to full precision. The last coda layer runs its query, MLP, final norm
-    and LM head only at the answer row. A smaller k yields an exact prefix
-    of a larger k (steps are pure).
+    and LM head only at the answer row.
 
     Attention is causal and positions are absolute, so rows that start with
     the same tokens hold the same states there at every layer and step.
@@ -425,69 +451,96 @@ def _beliefs(ids, p_len, prefixes, group, params: LoopedModelParams,
              steps: list, probs: np.ndarray, stop: list) -> None:
     """The kernel of `deliberate`: the (len(steps), batch, vocab) beliefs of
     the token rows `ids`, whose first p_len tokens are prefixes[group], at
-    the ascending recurrence steps `steps`, into probs, one step at a time.
-    Returns early once `stop` is nonempty."""
+    the ascending recurrence steps `steps`, into probs. The recurrence runs
+    one step at a time; the coda decodes the steps in passes of up to
+    `_coda_slots` steps each. Returns early once `stop` is nonempty."""
     cfg = params.config
     batch, seq = ids.shape
     emb = params.embedding.data
     dtype, d = emb.dtype, cfg.d_model
+    n_pre = len(prefixes)
 
-    def part(rows, start, n_k):
-        """Embedded state of `rows` at positions start.., with its key and
-        query buffers over n_k keys."""
+    def embed(rows, start):
+        """Embedded state of `rows` at positions start.."""
         n, n_x = rows.shape
         h = np.take(emb, rows.reshape(-1), axis=0)
         h.reshape(n, n_x, d)[...] += params.pos.data[start:start + n_x]
-        return (h, KeyBuffers(n, n_x, n_k, d, dtype),
-                Buffers(n, n_x, n_k, d, cfg.d_mlp, cfg.n_heads, dtype))
+        return h
 
-    pre_h, pre_keys, pre = part(prefixes, 0, p_len)
-    h, keys, buf = part(ids[:, p_len:], p_len, seq)
-    ans = Buffers(batch, 1, seq, d, cfg.d_mlp, cfg.n_heads, dtype)
+    def buffers(slots):
+        """Each stacked row's prefix, and the key and query buffers of
+        `slots` stacked steps: the prefixes', the rows' and, last, the
+        answer row's."""
+        def query(n, n_q, n_k):
+            return Buffers(slots * n, n_q, n_k, d, cfg.d_mlp, cfg.n_heads,
+                           dtype, slots)
+        return ((group + n_pre * np.arange(slots)[:, None]).reshape(-1),
+                KeyBuffers(slots * n_pre, p_len, p_len, d, dtype),
+                query(n_pre, p_len, p_len),
+                KeyBuffers(slots * batch, seq - p_len, seq, d, dtype),
+                query(batch, seq - p_len, seq), query(batch, 1, seq))
 
-    def block(layer, pre_h, h, out=None):
+    def block(layer, pre_h, h, bufs, out=None):
         """One layer over the prefixes and then the rows' own positions.
         With `out`, the rows are queried at their answer position only (into
         out), and the prefixes are needed only for their keys and values."""
+        rows_group, pre_keys, pre, keys, buf, ans = bufs
         if p_len:
             if out is None:
                 layer_forward(pre_h, layer, pre_keys, pre)
             else:
                 keys_values(pre_h, layer, pre_keys)
-            keys.kv[:, :p_len] = pre_keys.kv[group]
+            keys.kv[:, :p_len] = pre_keys.kv[rows_group]
         layer_forward(h, layer, keys, buf if out is None else ans, out)
 
+    loop = buffers(1)
+    pre_h, h = embed(prefixes, 0), embed(ids[:, p_len:], p_len)
     for layer in params.prelude:
-        block(layer, pre_h, h)
+        block(layer, pre_h, h, loop)
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(pre_h))):
         raise NumericError("prelude produced non-finite activations")
 
-    coda_pre, coda = _empty(pre_h.shape, dtype), _empty(h.shape, dtype)
-    top = _empty((batch, d), dtype)
-    logits = _empty((batch, cfg.vocab_size), dtype)
+    slots = _coda_slots(len(pre_h) + len(h), len(steps))
+    coda_pre = _empty((slots,) + pre_h.shape, dtype)
+    coda = _empty((slots,) + h.shape, dtype)
+    top = _empty((slots * batch, d), dtype)
+    logits = _empty((slots, batch, cfg.vocab_size), dtype)
+    bufs = {1: loop}        # a pass of one step runs on the loop's buffers
     rows = {step: j for j, step in enumerate(steps)}     # step -> probs row
     for step in range(1, steps[-1] + 1):
         if stop:
             return
         for layer in params.recurrent:
-            block(layer, pre_h, h)
+            block(layer, pre_h, h, loop)
         if step not in rows:
             continue
-        np.copyto(coda_pre, pre_h)
-        np.copyto(coda, h)
+        # this step's states go to slot g of the pass that decodes probs
+        # rows first.. first + n - 1
+        first, g = divmod(rows[step], slots)
+        first *= slots
+        n = min(slots, len(steps) - first)
+        np.copyto(coda_pre[g], pre_h)
+        np.copyto(coda[g], h)
+        if g < n - 1:
+            continue
+        if n not in bufs:
+            bufs[n] = buffers(n)
+        x_pre, x = coda_pre[:n].reshape(-1, d), coda[:n].reshape(-1, d)
         for layer in params.coda[:-1]:
-            block(layer, coda_pre, coda)
-        block(params.coda[-1], coda_pre, coda, out=top)
-        layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
-                        ans.ln, ans.proj, ans.mean, ans.stat)
-        np.matmul(ans.ln, emb.T, out=logits)
-        p = probs[rows[step]]
-        p[...] = logits
+            block(layer, x_pre, x, bufs[n])
+        block(params.coda[-1], x_pre, x, bufs[n], out=top[:n * batch])
+        ans = bufs[n][-1]
+        layer_norm_into(top[:n * batch], params.final_ln_g.data,
+                        params.final_ln_b.data, ans.ln, ans.proj, ans.mean,
+                        ans.stat)
+        np.matmul(ans.ln.reshape(n, batch, d), emb.T, out=logits[:n])
+        p = probs[first:first + n]
+        p[...] = logits[:n]
         if not np.all(np.isfinite(p)):
             raise NumericError("coda produced non-finite logits")
-        p -= p.max(axis=1, keepdims=True)
+        p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= p.sum(axis=2, keepdims=True)
 
 
 def run_deliberation(tokens, params: LoopedModelParams, k: int):

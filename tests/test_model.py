@@ -404,15 +404,108 @@ def test_layer_buffers_are_aligned_and_share_no_memory(monkeypatch):
         forward(x, p, keys, buf, out)
 
     monkeypatch.setattr(model, "layer_forward", spy)
-    for batch in (tokens[:1], tokens):
-        seen.clear()
-        deliberate(batch, params, 2)
-        # the rows', the answer row's and, with a shared prefix, the prefix's
-        assert len({id(b) for _, b in seen}) == (3 if len(batch) > 1 else 2)
-        for keys, buf in seen:
-            assert_aligned_and_apart(keys)
-            # GELU's output overwrites its input in inference
-            assert_aligned_and_apart(buf, alias={"act", "hidden"})
+    # the rows', the answer row's and, with a shared prefix, the prefix's;
+    # a coda pass of both steps has its own rows', answer row's and
+    # prefix's, and the recurrence's answer buffers go unused
+    for budget, sets in ((1, (2, 3)), (model._CODA_ROWS, (3, 5))):
+        monkeypatch.setattr(model, "_CODA_ROWS", budget)
+        for batch, want in zip((tokens[:1], tokens), sets):
+            seen.clear()
+            deliberate(batch, params, 2)
+            assert len({id(b) for _, b in seen}) == want
+            for keys, buf in seen:
+                assert_aligned_and_apart(keys)
+                # GELU's output overwrites its input in inference
+                assert_aligned_and_apart(buf, alias={"act", "hidden"})
+
+
+# -- coda passes --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows_per_step,n_steps,want", [
+    (6, 6, 6),                       # every step in one pass
+    (9, 30, 30),                     # a single question at reference k
+    (6, 100, model._CODA_ROWS // 6),
+    (model._CODA_ROWS, 30, 1),
+    (model._CODA_ROWS + 1, 30, 1),   # a step over the budget: one per pass
+    (252 * 9, 30, 1),                # a trace shard
+    (0, 5, 1),                       # the empty batch
+])
+def test_coda_slots(rows_per_step, n_steps, want):
+    assert model._coda_slots(rows_per_step, n_steps) == want
+
+
+def coda_pass_cases():
+    """(name, tokens, params) whose beliefs the coda's passes must not
+    change by a bit: a 1-D question, unshared rows and a shared prefix."""
+    for dtype in (np.float32, np.float64):
+        params = moved_params(dtype)
+        for name, tokens in (
+                ("question", stems_batch(4, [1], KCFG.max_seq, 3)[0]),
+                ("unshared", distinct_starts(5, KCFG.max_seq)),
+                ("shared", SHARED_BATCHES["shuffled-stems"][0])):
+            yield f"{name}-{np.dtype(dtype).name}", tokens, params
+
+
+# budgets that stack every step, a partial last pass (4 + 2 steps of the
+# question, 4 + 2 of the unshared rows) and the default
+CODA_BUDGETS = [24, 120, model._CODA_ROWS, 10_000]
+
+
+@pytest.mark.parametrize("budget", CODA_BUDGETS)
+@pytest.mark.parametrize("steps", [None, [1, 3], [KCFG.k_max]])
+def test_coda_passes_are_bit_identical_to_one_step_per_pass(monkeypatch,
+                                                            budget, steps):
+    k = KCFG.k_max
+    for name, tokens, params in coda_pass_cases():
+        monkeypatch.setattr(model, "_CODA_ROWS", 1)
+        one = deliberate(tokens, params, k, steps=steps)
+        one_dists = run_deliberation(tokens, params, k)
+        monkeypatch.setattr(model, "_CODA_ROWS", budget)
+        assert np.array_equal(deliberate(tokens, params, k, steps=steps),
+                              one), name
+        for want, got in zip(one_dists, run_deliberation(tokens, params, k)):
+            assert np.array_equal(got.probs, want.probs), name
+        if steps is None:
+            assert np.abs(np.diff(one, axis=0)).max() > 1e-3, name
+
+
+@pytest.mark.parametrize("budget", [1, model._CODA_ROWS, 10_000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_coda_passes_over_two_shards_are_bit_identical(monkeypatch, budget,
+                                                       dtype):
+    """Two shards of unequal rows per step: with the default budget the
+    first (48 rows beside 12 prefixes) stacks two steps, the second
+    (108 rows) one."""
+    tokens, _ = SHARD_BATCHES["duplicate-rows"]
+    params = moved_params(dtype, SCFG)
+    monkeypatch.setattr(model, "_CODA_ROWS", 1)
+    one = model._deliberate(tokens, params, SCFG.k_max, 2)
+    monkeypatch.setattr(model, "_CODA_ROWS", budget)
+    assert model._shard_workers(len(tokens), 2) == 2
+    assert np.array_equal(model._deliberate(tokens, params, SCFG.k_max, 2),
+                          one)
+
+
+@pytest.mark.parametrize("budget,passes", [
+    (model._CODA_ROWS, 1),           # every step in one pass
+    (24, 2),                         # 4 steps, then the last 2
+    (1, KCFG.k_max),                 # one step per pass
+])
+def test_a_question_runs_the_coda_once_per_pass(monkeypatch, budget, passes):
+    forward, calls = model.layer_forward, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_CODA_ROWS", budget)
+    monkeypatch.setattr(model, "layer_forward", spy)
+    k = KCFG.k_max
+    run_deliberation(stems_batch(4, [1], KCFG.max_seq, 3)[0],
+                     moved_params(np.float32), k)
+    assert len(calls) == (KCFG.prelude_layers + k * KCFG.recurrent_layers
+                          + passes * KCFG.coda_layers)
 
 
 # -- row shards ---------------------------------------------------------------
@@ -525,6 +618,37 @@ def test_deliberate_runs_shards_at_one_blas_thread(monkeypatch,
     assert seen == [(ROWS, 1), (ROWS, 1)]
     assert two_blas_threads() == 2
     assert np.array_equal(got, one)
+
+
+def _nan_pos(params):
+    params.pos.data[0, 0] = np.nan
+
+
+def _inf_final_gain(params):
+    params.final_ln_g.data[0, 0] = np.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corrupt,stage", [(_nan_pos, "prelude"),
+                                           (_inf_final_gain, "coda")])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_deliberate_names_the_stage_that_went_non_finite(
+        monkeypatch, two_blas_threads, corrupt, stage, shards):
+    """At batch 1 (every step in one coda pass) and in two shards; the
+    caller's BLAS thread count is given back."""
+    params = moved_params(np.float32, SCFG)
+    corrupt(params)
+    monkeypatch.setattr(model, "_usable_cores", lambda: 2)
+    if shards == 1:
+        tokens = SHARD_BATCHES["shuffled-stems"][0][0]
+        assert model._coda_slots(SCFG.max_seq, SCFG.k_max) == SCFG.k_max
+    else:
+        tokens = SHARD_BATCHES["shuffled-stems"][0][:2 * ROWS]
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match=stage):
+        deliberate(tokens, params, SCFG.k_max)
+    assert threading.active_count() == threads
+    assert two_blas_threads() == 2
 
 
 def test_deliberate_runs_one_shard_when_blas_threads_cannot_be_set(

@@ -330,6 +330,46 @@ def test_verify_checks_trajectory_invariants(run, tmp_path, edit):
                             for p in problems), problems
 
 
+def _wrong_type(line):
+    rec = json.loads(line)
+    rec["k"] = str(rec["k"])
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("bad_line,named", [
+    (lambda line: "[1, 2]", "record is an array, not an object"),
+    (lambda line: "null", "record is null, not an object"),
+    (lambda line: "{}", "record lacks field 'item_id'"),
+    (_wrong_type, "field 'k' is a string"),
+], ids=["array", "null", "no_fields", "wrong_type"])
+def test_malformed_trajectory_line_is_named(run, tmp_path, capsys, bad_line,
+                                            named):
+    """analyze and plot print an error naming the file and the line, and
+    exit 1; verify names the file as a problem."""
+    config, _ = run
+    out = tmp_path / "run"
+    shutil.copytree(config.output_dir, out)
+    path = out / TRAJ_FILE
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = bad_line(lines[1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = json.loads((out / MANIFEST_FILE).read_text())
+    manifest["files"][TRAJ_FILE] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest))
+    cfg_path = tmp_path / "config.json"
+    tiny_config(out, seed=config.seed).write_json(cfg_path)
+    capsys.readouterr()
+    for cmd in ("analyze", "plot"):
+        assert cli_main([cmd, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path} line 2: {named}" in err
+    problems = verify(str(out))
+    assert len(problems) == 1, problems
+    assert problems[0].startswith(f"{TRAJ_FILE}: cannot be analyzed")
+    assert f"line 2: {named}" in problems[0]
+
+
 def test_config_json_round_trip(tmp_path):
     config = tiny_config(tmp_path / "x", seed=42)
     path = tmp_path / "config.json"
