@@ -8,6 +8,7 @@ abandoned answers, and bootstrap-aggregated summary statistics.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -449,10 +450,28 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+def _array(rec: dict, name: str, dtype) -> np.ndarray:
+    """Array field `name` of rec as a `dtype` array. Raises ValueError on an
+    element that is not a number (null, a bool, a string) or, for an integer
+    dtype, not an integer; rows of a 2-D field are arrays."""
+    kinds, want = (((int,), "an integer") if np.issubdtype(dtype, np.integer)
+                   else ((int, float), "a number"))
+    for x in itertools.chain.from_iterable(
+            x if isinstance(x, list) else (x,) for x in rec[name]):
+        if type(x) not in kinds:
+            raise ValueError(
+                f"field {name!r} holds {_json_type(x)}, not {want}")
+    try:
+        return np.array(rec[name], dtype=dtype)
+    except OverflowError as e:
+        raise ValueError(f"field {name!r}: {e}") from e
+
+
 def record_to_trajectory(rec: dict) -> BeliefTrajectory:
     """The trajectory of one trajectory_to_record record. Raises ValueError
     on a record that is not an object, lacks a field, or holds a field of
-    the wrong JSON type (a bool is not an int)."""
+    the wrong JSON type (a bool is not an int), or an array element of one
+    (`_array`)."""
     if not isinstance(rec, dict):
         raise ValueError(f"record is {_json_type(rec)}, not an object")
     for name, kind in {**_RECORD_FIELDS, **_OPTIONAL_FIELDS}.items():
@@ -466,11 +485,11 @@ def record_to_trajectory(rec: dict) -> BeliefTrajectory:
     return BeliefTrajectory(
         item_id=rec["item_id"], variant=rec["variant"],
         perm_index=rec["perm_index"], k=rec["k"],
-        option_probs=np.array(rec["option_probs"], dtype=np.float64),
-        full_entropy=np.array(rec["full_entropy"], dtype=np.float64),
-        renorm_entropy=np.array(rec["renorm_entropy"], dtype=np.float64),
-        argmax_series=np.array(rec["argmax_series"], dtype=np.intp),
-        step_kl_series=np.array(rec["step_kl"], dtype=np.float64),
+        option_probs=_array(rec, "option_probs", np.float64),
+        full_entropy=_array(rec, "full_entropy", np.float64),
+        renorm_entropy=_array(rec, "renorm_entropy", np.float64),
+        argmax_series=_array(rec, "argmax_series", np.intp),
+        step_kl_series=_array(rec, "step_kl", np.float64),
         correct_index=rec["correct_index"],
         similarities=rec.get("similarities", []),
         options=rec.get("options", []))

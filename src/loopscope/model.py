@@ -7,6 +7,7 @@ distribution at the answer position.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import os
@@ -46,7 +47,10 @@ class LoopedConfig:
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_heads", "prelude_layers",
                      "recurrent_layers", "coda_layers", "max_seq", "k_max"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
@@ -196,7 +200,9 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int,
     layernorms, and a reverse loop over them, which rebuilds the
     elementwise results, is the backward pass. The caches and the
     backward's scratch live in `workspace`, a layers.Workspace that a
-    training loop keeps across steps (None: a fresh one). Raises
+    training loop keeps across steps (None: a fresh one). The products run
+    with NumPy's bundled OpenBLAS held at 1 thread (`_one_blas_thread`), so
+    the gradients do not depend on the caller's thread count. Raises
     NumericError, before the backward, on a non-finite loss."""
     cfg = params.config
     if not 1 <= k <= cfg.k_max:
@@ -209,33 +215,35 @@ def loss_and_grads(tokens, targets, params: LoopedModelParams, k: int,
 
     if workspace is None:
         workspace = Workspace()
-    states, caches = stack_forward(
-        h, params.prelude + params.recurrent * k + params.coda, cfg.n_heads,
-        seq, workspace)
-    top = states[-1]
-    normed = np.empty_like(top)
-    mean, rstd = (np.empty((len(top), 1), top.dtype) for _ in range(2))
-    layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
-                    normed, np.empty_like(top), mean, rstd)
-    last = np.arange(batch) * seq + (seq - 1)
-    answer = normed[last]
-    loss, dlogits = cross_entropy(np.matmul(answer, emb.T), targets)
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite training loss {loss} at depth k={k}")
+    with _one_blas_thread():
+        states, caches = stack_forward(
+            h, params.prelude + params.recurrent * k + params.coda,
+            cfg.n_heads, seq, workspace)
+        top = states[-1]
+        normed = np.empty_like(top)
+        mean, rstd = (np.empty((len(top), 1), top.dtype) for _ in range(2))
+        layer_norm_into(top, params.final_ln_g.data, params.final_ln_b.data,
+                        normed, np.empty_like(top), mean, rstd)
+        last = np.arange(batch) * seq + (seq - 1)
+        answer = normed[last]
+        loss, dlogits = cross_entropy(np.matmul(answer, emb.T), targets)
+        if not np.isfinite(loss):
+            raise NumericError(
+                f"non-finite training loss {loss} at depth k={k}")
 
-    workspace.bind_grads([t for _, t in params.named_tensors()])
-    dnormed = np.zeros_like(normed)
-    np.add.at(dnormed, last, np.matmul(dlogits, emb))
-    dh = layer_norm_backward(top, mean, rstd, params.final_ln_g,
-                             params.final_ln_b, dnormed, workspace.grads)
-    dh = stack_backward(dh, states, caches, workspace)
-    # the input's two row gathers scatter-add straight into their zeroed
-    # gradients; the tied head's gradient is added to the embedding's after
-    # that. One IEEE add commutes, so this sum has the bits of the head's
-    # gradient plus the scatter's
-    np.add.at(params.pos.grad, np.tile(np.arange(seq), batch), dh)
-    np.add.at(params.embedding.grad, ids.reshape(-1), dh)
-    params.embedding.grad += np.matmul(dlogits.T, answer)
+        workspace.bind_grads([t for _, t in params.named_tensors()])
+        dnormed = np.zeros_like(normed)
+        np.add.at(dnormed, last, np.matmul(dlogits, emb))
+        dh = layer_norm_backward(top, mean, rstd, params.final_ln_g,
+                                 params.final_ln_b, dnormed, workspace.grads)
+        dh = stack_backward(dh, states, caches, workspace)
+        # the input's two row gathers scatter-add straight into their zeroed
+        # gradients; the tied head's gradient is added to the embedding's
+        # after that. One IEEE add commutes, so this sum has the bits of the
+        # head's gradient plus the scatter's
+        np.add.at(params.pos.grad, np.tile(np.arange(seq), batch), dh)
+        np.add.at(params.embedding.grad, ids.reshape(-1), dh)
+        params.embedding.grad += np.matmul(dlogits.T, answer)
     return float(loss)
 
 
@@ -307,6 +315,33 @@ _OPENBLAS = _numpy_openblas()
 _BLAS_PIN = threading.Lock()     # held while a call has changed the count
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold NumPy's bundled OpenBLAS at 1 thread, one holder at a time, and
+    give the caller's count back on return or raise; other threads' BLAS
+    work runs on 1 thread meanwhile. Yields whether the count could be set:
+    False under another BLAS (a system OpenBLAS, MKL, Accelerate), which
+    then runs at the caller's count.
+
+    `deliberate` and `loss_and_grads` issue every BLAS product and hold it,
+    so a run's bytes do not depend on the thread count, as some kernels'
+    rounding does (Haswell). Neither calls the other, so no thread takes
+    the lock twice. Taking it costs one get and one set, under a
+    microsecond against a 70-340 ms training step; the cost is that calls
+    on different threads take turns."""
+    if _OPENBLAS is None:
+        yield False
+        return
+    get_threads, set_threads = _OPENBLAS
+    with _BLAS_PIN:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            yield True
+        finally:
+            set_threads(threads)
+
+
 # Rows of decoded states the coda takes in one pass. `deliberate` stacks
 # the states of up to _CODA_ROWS // (rows per step) decoded steps and runs
 # the coda, final norm, LM head and softmax once over them; the row-wise
@@ -372,10 +407,8 @@ def deliberate(tokens, params: LoopedModelParams, k: int,
     of the weights' dtype. With p = 0 (one row, or no shared prefix) the
     prefix half is skipped.
 
-    A call holds NumPy's bundled OpenBLAS at 1 thread, one call at a time,
-    and gives the caller's count back when it returns or raises; other
-    threads' BLAS work runs on 1 thread meanwhile. The beliefs thus do not
-    depend on the count, as some kernels' rounding does (Haswell). A batch
+    A call holds NumPy's bundled OpenBLAS at 1 thread (`_one_blas_thread`),
+    so the beliefs do not depend on the caller's thread count. A batch
     of at least 2 * _SHARD_ROWS rows runs in row shards at once: one on the
     calling thread and one per further usable core on worker threads (NumPy
     releases the GIL in its loops and in BLAS), at least _SHARD_ROWS rows
@@ -385,16 +418,9 @@ def deliberate(tokens, params: LoopedModelParams, k: int,
     shard; the beliefs were checked bit-identical to one shard's with
     OpenBLAS 0.3.31 under its SkylakeX and Haswell kernels.
     """
-    if _OPENBLAS is None:
-        return _deliberate(tokens, params, k, 1, steps)
-    get_threads, set_threads = _OPENBLAS
-    with _BLAS_PIN:
-        threads = get_threads()
-        set_threads(1)
-        try:
-            return _deliberate(tokens, params, k, _usable_cores(), steps)
-        finally:
-            set_threads(threads)
+    with _one_blas_thread() as pinned:
+        return _deliberate(tokens, params, k,
+                           _usable_cores() if pinned else 1, steps)
 
 
 def _deliberate(tokens, params: LoopedModelParams, k: int, cores: int,

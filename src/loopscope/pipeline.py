@@ -2,10 +2,8 @@
 
 One master seed derives every stage seed, so a config reproduces the same
 benchmark JSONL, checkpoint, trajectory JSONL, CSV tables, and SVG figures
-byte for byte given the same BLAS kernel (the CPU picks it) and, for
-training, the same BLAS thread count, by which some kernels round (Haswell).
-A manifest with content hashes is written last; its absence marks a partial
-run.
+byte for byte given the same BLAS kernel (the CPU picks it). A manifest
+with content hashes is written last; its absence marks a partial run.
 """
 
 from __future__ import annotations
@@ -466,7 +464,8 @@ def _trajectory_problems(trajectories, k: int, vocab: int) -> list:
     series and k - 1 step KLs; the argmax agrees with option_probs; the
     option masses are nonnegative and sum to at most 1; full_entropy lies
     in [0, ln vocab] and renorm_entropy in [0, ln 4], each bound within
-    1e-9. A NaN breaks every bound."""
+    1e-9; every step KL is finite and at least -1e-9. A NaN breaks every
+    bound."""
     def row(t):
         return f"{TRAJ_FILE}: row ({t.item_id}, {t.variant}, {t.perm_index})"
 
@@ -485,7 +484,7 @@ def _trajectory_problems(trajectories, k: int, vocab: int) -> list:
     def outside(x, hi):
         return ~((-1e-9 <= x) & (x <= hi + 1e-9))
 
-    probs = stack("option_probs")
+    probs, kl = stack("option_probs"), stack("step_kl_series")
     broken = {
         "argmax_series disagrees with option_probs":
             stack("argmax_series") != probs.argmax(axis=2),
@@ -495,6 +494,7 @@ def _trajectory_problems(trajectories, k: int, vocab: int) -> list:
             outside(stack("full_entropy"), np.log(vocab)),
         "renorm_entropy outside [0, ln 4]":
             outside(stack("renorm_entropy"), np.log(4)),
+        "step_kl negative or not finite": ~(np.isfinite(kl) & (kl >= -1e-9)),
     }
     for what, bad in broken.items():
         problems += [f"{row(trajectories[i])}: {what}"

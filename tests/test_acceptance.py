@@ -4,7 +4,9 @@ One test per acceptance criterion, named for what it checks; each prints a
 single PASS line on success (visible with -v via the test outcome, and in
 captured output). The reference model (d=64, 2/4/2 layers, 30 recurrence
 steps) is trained once per session and shared across the trained-model
-criteria. The whole file takes about 12 minutes on a 2-core x86 box.
+criteria. On a 2-core x86 box (OpenBLAS's SkylakeX kernel) that session
+fixture took 268 s and 342 s in two runs, and the criteria a few seconds
+more.
 """
 
 import csv

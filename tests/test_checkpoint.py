@@ -86,6 +86,11 @@ def _unknown_config_key(h, m, b):
     return h, m, b
 
 
+def _float_config_field(h, m, b):
+    h["config"]["d_model"] = float(h["config"]["d_model"])
+    return h, m, b
+
+
 def _entry_without_offset(h, m, b):
     del m[3]["offset"]
     return h, m, b
@@ -106,8 +111,9 @@ def _trailing_bytes(h, m, b):
 
 
 @pytest.mark.parametrize("edit", [
-    _drop_config, _unknown_config_key, _entry_without_offset, _manifest_dict,
-    _same_offset_twice, _trailing_bytes])
+    _drop_config, _unknown_config_key, _float_config_field,
+    _entry_without_offset, _manifest_dict, _same_offset_twice,
+    _trailing_bytes])
 def test_malformed_checkpoint_rejected(tmp_path, edit):
     path = tmp_path / "m.ckpt"
     save_checkpoint(init_params(CFG, seed=7), path)
@@ -131,3 +137,21 @@ def test_cli_trace_on_corrupt_checkpoint_fails(tmp_path, capsys):
     assert cli_main(["trace", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "config" in err
+
+
+def test_cli_trace_on_a_checkpoint_with_a_float_config_field_fails(
+        tmp_path, capsys):
+    """A header's "d_model": 8.0 is an error line and exit status 1, not
+    a traceback."""
+    from loopscope.cli import main as cli_main
+    from tests.test_pipeline import tiny_config
+
+    config = tiny_config(tmp_path / "run")
+    cfg_path = tmp_path / "c.json"
+    config.write_json(cfg_path)
+    assert cli_main(["train", "--config", str(cfg_path)]) == 0
+    _rewrite(tmp_path / "run" / "model.ckpt", _float_config_field)
+    capsys.readouterr()
+    assert cli_main(["trace", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "d_model must be an integer" in err

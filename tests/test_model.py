@@ -587,20 +587,6 @@ def test_more_shards_than_cores_are_bit_identical_and_leave_no_threads():
     assert np.array_equal(got, one)
 
 
-@pytest.fixture
-def two_blas_threads():
-    """NumPy's OpenBLAS at 2 threads during the test, so that a call which
-    holds it at 1 and does not give the count back shows; yields the
-    thread-count getter."""
-    if model._OPENBLAS is None:
-        pytest.skip("NumPy does not run on its bundled OpenBLAS")
-    get_threads, set_threads = model._OPENBLAS
-    threads = get_threads()
-    set_threads(2)
-    yield get_threads
-    set_threads(threads)
-
-
 def test_deliberate_runs_shards_at_one_blas_thread(monkeypatch,
                                                    two_blas_threads):
     beliefs, seen = model._beliefs, []

@@ -304,10 +304,11 @@ def _drop_last(field):
     _set_first("full_entropy", 10.0), _set_first("full_entropy", -0.1),
     _set_first("full_entropy", float("nan")),
     _set_first("renorm_entropy", 1.5), _drop_last("step_kl"),
-    _drop_last("option_probs"),
+    _drop_last("option_probs"), _set_first("step_kl", -0.5),
+    _set_first("step_kl", float("inf")),
 ], ids=["argmax", "mass_above_one", "negative_mass", "entropy_above_ln_vocab",
         "negative_entropy", "nan_entropy", "renorm_above_ln_4",
-        "short_kl", "short_option_probs"])
+        "short_kl", "short_option_probs", "negative_kl", "infinite_kl"])
 def test_verify_checks_trajectory_invariants(run, tmp_path, edit):
     """A trajectory row rewritten to break an invariant, with its file's
     hash updated in the manifest, fails verify with problems that name the
@@ -336,12 +337,31 @@ def _wrong_type(line):
     return json.dumps(rec)
 
 
+def _first_element(field, value):
+    def edit(line):
+        rec = json.loads(line)
+        _set_first(field, value)(rec)
+        return json.dumps(rec)
+    return edit
+
+
 @pytest.mark.parametrize("bad_line,named", [
     (lambda line: "[1, 2]", "record is an array, not an object"),
     (lambda line: "null", "record is null, not an object"),
     (lambda line: "{}", "record lacks field 'item_id'"),
     (_wrong_type, "field 'k' is a string"),
-], ids=["array", "null", "no_fields", "wrong_type"])
+    # array elements, which np.array would read as NaN, 1.0 or the index 1
+    (_first_element("step_kl", None),
+     "field 'step_kl' holds null, not a number"),
+    (_first_element("full_entropy", True),
+     "field 'full_entropy' holds a boolean, not a number"),
+    (_first_element("option_probs", ["0.25", 0.25, 0.25, 0.25]),
+     "field 'option_probs' holds a string, not a number"),
+    (_first_element("argmax_series", 1.5),
+     "field 'argmax_series' holds a number, not an integer"),
+    (_first_element("argmax_series", 10 ** 30), "field 'argmax_series': "),
+], ids=["array", "null", "no_fields", "wrong_type", "null_kl", "bool_entropy",
+        "string_prob", "fractional_argmax", "argmax_overflow"])
 def test_malformed_trajectory_line_is_named(run, tmp_path, capsys, bad_line,
                                             named):
     """analyze and plot print an error naming the file and the line, and
@@ -385,6 +405,9 @@ def test_config_validation():
                 # the model fields, checked as LoopedConfig checks them
                 dict(n_heads=3), dict(d_model=0), dict(recurrent_layers=0),
                 dict(coda_layers=0),
+                # not integers, as a JSON config may hold them
+                dict(d_model=64.0), dict(k=30.0), dict(n_heads=True),
+                dict(prelude_layers=None), dict(coda_layers="1"),
                 dict(category_coherence=-0.1), dict(category_coherence=1.5),
                 dict(category_coherence=float("nan")),
                 dict(two_hop_fraction=2.0), dict(two_hop_fraction=-1e-9),

@@ -1,9 +1,14 @@
+import contextlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from loopscope import training
+import loopscope
+from loopscope import model, training
 from loopscope.autograd import NumericError, finite_diff_check
 from loopscope.layers import Workspace
 from loopscope.model import LoopedConfig, init_params, loss_and_grads
@@ -383,3 +388,112 @@ def test_training_memory_stays_bounded():
               for a in vars(obj).values() if isinstance(a, np.ndarray)}
     arrays.update((id(a), a) for a in workspace.outs)
     assert sum(a.nbytes for a in arrays.values()) <= 52 * 2 ** 20
+
+
+def test_training_runs_at_one_blas_thread(world, bench, monkeypatch,
+                                         two_blas_threads):
+    """Every forward of a bare train_step and of train reads 1 BLAS thread,
+    and train's per-epoch evaluation, which takes the same pin between
+    steps, does not deadlock; the caller's count is back after each."""
+    forward, seen = model.stack_forward, []
+
+    def spy(*args):
+        seen.append(two_blas_threads())
+        return forward(*args)
+
+    monkeypatch.setattr(model, "stack_forward", spy)
+    params = init_params(small_config(world, k_max=3), seed=0)
+    items = [p for it in bench.items if it.variant == "Base"
+             for p in bench.permutations_for(it)][:8]
+    train_step(params, encode_dataset(items[:4], world), 2,
+               AdamW(params, TrainConfig()))
+    assert seen == [1]
+    assert two_blas_threads() == 2
+    train(params, items, world, TrainConfig(epochs=2, batch_size=4),
+          eval_items=items, eval_depths=(1, 3))
+    assert seen == [1] * 5
+    assert two_blas_threads() == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("error", [None, NumericError, KeyboardInterrupt])
+def test_a_training_step_gives_the_blas_thread_count_back(
+        world, bench, monkeypatch, two_blas_threads, error):
+    """The step reads 1 thread, and the caller's 2 are back, with the pin
+    free, after a normal return, a non-finite loss and an interrupt."""
+    cross_entropy, seen = model.cross_entropy, []
+
+    def spy(logits, targets):
+        seen.append(two_blas_threads())
+        if error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return cross_entropy(logits, targets)
+
+    monkeypatch.setattr(model, "cross_entropy", spy)
+    params = init_params(small_config(world), seed=3)
+    if error is NumericError:
+        params.embedding.data[...] = np.nan
+    items = [p for it in bench.items if it.variant == "Base"
+             for p in bench.permutations_for(it)][:4]
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        train_step(params, encode_dataset(items, world), 2,
+                   AdamW(params, TrainConfig()))
+    assert seen == [1]
+    assert two_blas_threads() == 2
+    assert not model._BLAS_PIN.locked()
+
+
+# Six steps at reference dims whose weights differ between 1 and 2 BLAS
+# threads under OpenBLAS's Haswell kernel unless training holds 1 thread.
+# Prints the kernel, the caller's thread count and the weights' hash.
+_HASWELL_STEPS = """
+import ctypes, glob, hashlib, os
+import numpy as np
+from loopscope import model
+from loopscope.layers import Workspace
+from loopscope.training import AdamW, TrainConfig, train_step
+
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                    "numpy.libs", "lib*openblas*")
+corename = ctypes.CDLL(glob.glob(libs)[0]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+params = model.init_params(model.LoopedConfig(vocab_size=45), seed=0)
+opt = AdamW(params, TrainConfig(lr_decay="cosine", warmup_steps=5),
+            total_steps=6)
+rng, workspace = np.random.default_rng(1), Workspace()
+for k in (1, 30, 8, 17, 3, 12):
+    batch = rng.integers(45, size=(32, 9)), rng.integers(45, size=32)
+    train_step(params, batch, k, opt, workspace)
+digest = hashlib.sha256()
+for _, t in params.named_tensors():
+    digest.update(t.data.tobytes())
+print(corename().decode(), model._OPENBLAS[0](), digest.hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count():
+    """Under the Haswell kernel, whose rounding depends on the thread
+    count, six steps with the count unset (one per core) and at 1 give
+    bit-identical weights."""
+    if model._OPENBLAS is None:
+        pytest.skip("NumPy does not run on its bundled OpenBLAS")
+    src = os.path.dirname(os.path.dirname(loopscope.__file__))
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                           "OMP_NUM_THREADS")}
+    env.update(OPENBLAS_CORETYPE="Haswell", PYTHONPATH=src)
+    runs = []
+    for threads in (None, "1"):
+        run_env = env if threads is None else {
+            **env, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _HASWELL_STEPS],
+                              capture_output=True, text=True, env=run_env,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout.split())
+    (core, unset, weights), (_, one, weights_at_one) = runs
+    if core != "Haswell" or int(unset) < 2:
+        pytest.skip(f"needs the Haswell kernel and 2 BLAS threads, "
+                    f"got {core} at {unset}")
+    assert int(one) == 1
+    assert weights == weights_at_one
