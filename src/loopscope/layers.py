@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,8 +78,10 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 # -- forward --------------------------------------------------------------------
 #
 # The block on raw arrays: every temporary lives in buffers that the caller
-# allocates. All layer buffers, in training and in inference, are aligned
-# when made: _empty starts each on a 64-byte boundary. Inference reuses one
+# allocates, each on a 64-byte boundary when made (_empty). Buffers and
+# GradBuffers carry in `views` the views of their arrays, and of the keys',
+# that a layer call reads (per head, per block, the queried rows), built
+# once rather than at every call. Inference reuses one
 # set of buffers for every layer and step. Training keeps its buffers in a
 # Workspace that the training loop creates once and reuses at every step.
 # Each layer application has its own copy of what a GEMM or a reduction
@@ -93,8 +96,8 @@ def layer_param_count(d_model: int, d_mlp: int) -> int:
 # set that every application shares.
 #
 # One call runs the block for `batch` sequences of n_k positions. It holds the
-# states x of each sequence's last n_x positions and queries the last n_q of
-# them (n_q <= n_x <= n_k). The keys and values of the first n_k - n_x
+# states x of each sequence's last n_x positions and queries all of them or
+# only the last (n_q = n_x or 1). The keys and values of the first n_k - n_x
 # positions are the caller's to put into KeyBuffers.kv: a prefix that many
 # sequences share is computed once and gathered there. Training runs whole
 # sequences, n_q = n_x = n_k.
@@ -127,8 +130,8 @@ class KeyBuffers:
 
 
 class Buffers:
-    """Query-side activation buffers for `batch` sequences queried at the
-    last n_q of their n_k positions, in one dtype.
+    """Query-side activation buffers of the sequences of `keys` queried at
+    the last n_q of their n_x positions, n_q being n_x or 1, in keys' dtype.
 
     The sequences may be `blocks` equal runs of batch / blocks sequences,
     such as the states of several recurrence steps that inference decodes
@@ -139,14 +142,16 @@ class Buffers:
     bits it has when its block runs by itself. Every other op of the layer
     is elementwise, a reduction along a row, or a product per sequence or
     per (sequence, head), and computes each row the same way in any
-    batch."""
+    batch. `views` holds the views of these arrays and of keys' (_bind)."""
 
-    def __init__(self, batch: int, n_q: int, n_k: int, d_model: int,
-                 d_mlp: int, n_heads: int, dtype, blocks: int = 1):
-        rows = batch * n_q
-        dh = d_model // n_heads
+    def __init__(self, keys: KeyBuffers, n_q: int, d_mlp: int, n_heads: int,
+                 blocks: int = 1):
+        batch, n_k, d2 = keys.kv.shape
+        d_model, dtype = d2 // 2, keys.kv.dtype
+        rows, dh = batch * n_q, d_model // n_heads
         self.shape = (batch, n_q, n_heads, dh)
         self.blocks = blocks
+        self.scale = 1.0 / math.sqrt(dh)    # a Python float keeps the dtype
         self.q = _empty((rows, d_model), dtype)
         self.mid = _empty((rows, d_model), dtype)       # state after attention
         self.ln = _empty((rows, d_model), dtype)        # normed MLP input
@@ -163,13 +168,23 @@ class Buffers:
         mask = np.triu(np.ones((n_q, n_k), dtype=bool), k=n_k - n_q + 1)
         self.mask = mask if mask.any() else None
         self.neg = np.finfo(dtype).min
+        self._bind(keys)
 
-    def per_block(self, rows: np.ndarray) -> np.ndarray:
-        """The (rows, width) array `rows` as (blocks, rows/blocks, width)."""
-        if self.blocks == 1:
-            return rows
-        return rows.reshape(self.blocks, len(rows) // self.blocks,
-                            rows.shape[1])
+    def _bind(self, keys: KeyBuffers) -> None:
+        """Build `views`, and again once Workspace.prepare swaps an array."""
+        batch, n_q, n_heads, dh = self.shape
+
+        def blk(rows):      # (rows, width) as (blocks, rows/blocks, width)
+            return rows if self.blocks == 1 else rows.reshape(
+                self.blocks, -1, rows.shape[1])
+        last = _last(keys.n_x, n_q)
+        k, v = keys.kv.reshape(*keys.kv.shape[:2], 2, n_heads, dh).transpose(2, 0, 3, 1, 4)
+        self.views = SimpleNamespace(
+            last=last, rows=blk(keys.ln[last]), q=blk(self.q),
+            ctx=blk(self.ctx), ln=blk(self.ln), act=blk(self.act),
+            proj=blk(self.proj), q_heads=self.heads(self.q, n_q),
+            ctx_heads=self.heads(self.ctx, n_q), k=k, v=v, kT=k.swapaxes(2, 3),
+            cols=[self.scores[..., j:j + 1] for j in range(k.shape[2])])
 
     def heads(self, block: np.ndarray, n_pos: int):
         """(batch, heads, n_pos, dh) view of a (batch*n_pos, heads*dh) or
@@ -226,40 +241,38 @@ def _gelu(x, sq, t, tp1, half, out) -> None:
 
 
 # Score blocks of at least this many sequences take the softmax's row max as
-# a running np.maximum over the key columns, smaller ones with np.max; both
-# give the same bits. NumPy's max along a short last axis is slow: with 4
-# heads and 9 x 9 scores it took 101 us at batch 32 and 876 us at batch 504,
-# against 25 and 60 us for the running max, whose one call per key costs
-# more at batch 1 (18 us against 8).
+# a running np.maximum over the bound key columns, smaller ones with
+# np.maximum.reduce: same bits. With 4 heads and 9 x 9 float32 scores the
+# reduce took 4.3, 25, 93 and 1440 us at batch 1, 8, 32 and 504, the running
+# max 8.7, 9, 13 and 81 us (one query row at batch 1: 1.4 against 7.7 us).
 _RUNNING_MAX_BATCH = 8
 
 
-def _attend(q, k, v, buf: Buffers) -> np.ndarray:
-    """Softmax(q k^T / sqrt(dh)) v for (batch, heads, pos, dh) blocks, into
-    buf.ctx; returns buf.ctx as (batch*n_q, d_model) rows."""
-    scores, smax = buf.scores, buf.smax
-    np.matmul(q, k.swapaxes(2, 3), out=scores)
-    scores *= 1.0 / math.sqrt(q.shape[-1])   # a Python float keeps the dtype
+def _attend(buf: Buffers) -> np.ndarray:
+    """Softmax(q k^T / sqrt(dh)) v per head, from buf.q and the keys and
+    values buf was made on, into buf.ctx; returns buf.ctx per block."""
+    scores, smax, views = buf.scores, buf.smax, buf.views
+    np.matmul(views.q_heads, views.kT, out=scores)
+    scores *= buf.scale
     if buf.mask is not None:
         np.copyto(scores, buf.neg, where=buf.mask)
     if len(scores) >= _RUNNING_MAX_BATCH:
-        np.copyto(smax, scores[..., :1])
-        for j in range(1, scores.shape[-1]):
-            np.maximum(smax, scores[..., j:j + 1], out=smax)
+        np.copyto(smax, views.cols[0])
+        for col in views.cols[1:]:
+            np.maximum(smax, col, out=smax)
     else:
-        np.max(scores, axis=-1, keepdims=True, out=smax)
+        np.maximum.reduce(scores, axis=-1, keepdims=True, out=smax)
     scores -= smax
     np.exp(scores, out=scores)
-    np.sum(scores, axis=-1, keepdims=True, out=smax)
+    np.add.reduce(scores, axis=-1, keepdims=True, out=smax)
     scores /= smax
-    np.matmul(scores, v, out=buf.heads(buf.ctx, buf.shape[1]))
-    return buf.ctx
+    np.matmul(scores, views.v, out=views.ctx_heads)
+    return views.ctx
 
 
-def _last(rows: np.ndarray, batch: int, n_x: int, n_q: int) -> np.ndarray:
-    """The last n_q of each sequence's n_x rows (a view for n_q 1 or n_x)."""
-    d = rows.shape[1]
-    return rows.reshape(batch, n_x, d)[:, n_x - n_q:].reshape(batch * n_q, d)
+def _last(n_x: int, n_q: int) -> slice:
+    """The queried rows of batch*n_x rows: all, or each sequence's last."""
+    return slice(None) if n_q == n_x else slice(n_x - 1, None, n_x)
 
 
 def keys_values(x: np.ndarray, p: LayerParams, keys: KeyBuffers) -> None:
@@ -276,32 +289,27 @@ def keys_values(x: np.ndarray, p: LayerParams, keys: KeyBuffers) -> None:
 def layer_forward(x: np.ndarray, p: LayerParams, keys: KeyBuffers,
                   buf: Buffers, out: np.ndarray | None = None) -> None:
     """One pre-norm causal block: queries at the last n_q positions over the
-    keys at all n_k (see the comment above KeyBuffers). x is the
-    (batch*n_x, d_model) state of the last n_x positions. With `out` None,
-    n_q = n_x and x is updated in place; otherwise x is left unchanged and
-    the (batch*n_q, d_model) result is written to `out`."""
-    d, n_x = x.shape[1], keys.n_x
+    keys at all n_k (see the comment above KeyBuffers), buf made on keys.
+    x is the (batch*n_x, d_model) state of the last n_x positions. With
+    `out` None, n_q = n_x and x is updated in place; otherwise x is left
+    unchanged and the (batch*n_q, d_model) result is written to `out`."""
+    d = x.shape[1]
     if p.w_qkv.data.shape != (d, 3 * d):
         raise ShapeError(f"layer built for d_model={p.w_qkv.data.shape[0]}, "
                          f"state has d_model={d}")
     keys_values(x, p, keys)
-    batch, n_q = buf.shape[:2]
-    n_k = keys.kv.shape[1]
-    blk = buf.per_block
-    np.matmul(blk(_last(keys.ln, batch, n_x, n_q)), p.w_qkv.data[:, :d],
-              out=blk(buf.q))
-    k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], n_k) for i in range(2))
-    np.matmul(blk(_attend(buf.heads(buf.q, n_q), k, v, buf)), p.w_out.data,
-              out=blk(buf.proj))
+    views = buf.views
+    np.matmul(views.rows, p.w_qkv.data[:, :d], out=views.q)
+    np.matmul(_attend(buf), p.w_out.data, out=views.proj)
     buf.proj += p.b_out.data
-    np.add(_last(x, batch, n_x, n_q), buf.proj, out=buf.mid)
+    np.add(x[views.last], buf.proj, out=buf.mid)
     # MLP sublayer: W2 gelu(LN2(mid) W1 + b1) + b2
     layer_norm_into(buf.mid, p.ln2_g.data, p.ln2_b.data, buf.ln, buf.proj,
                     buf.mean, buf.stat)
-    np.matmul(blk(buf.ln), p.w_mlp1.data, out=blk(buf.hidden))
+    np.matmul(views.ln, p.w_mlp1.data, out=views.act)   # act is hidden
     buf.hidden += p.b_mlp1.data
     _gelu(buf.hidden, buf.tmp, buf.tmp, buf.tmp, buf.act, buf.act)
-    np.matmul(blk(buf.act), p.w_mlp2.data, out=blk(buf.proj))
+    np.matmul(views.act, p.w_mlp2.data, out=views.proj)
     buf.proj += p.b_mlp2.data
     np.add(buf.mid, buf.proj, out=x if out is None else out)
 
@@ -353,6 +361,10 @@ class GradBuffers(NormGrads):
         self.dw = _empty((batch, n_heads, seq, seq), dtype)     # then dscores
         self.wdw = _empty(self.dw.shape, dtype)
         self.wdw_sum = _empty((batch, n_heads, seq, 1), dtype)
+        dh = d_model // n_heads     # layer_backward's views: dq, dk, dv, dctx
+        self.views = (
+            *self.dqkv.reshape(batch, seq, 3, n_heads, dh).transpose(2, 0, 3, 1, 4),
+            self.dctx.reshape(batch, seq, n_heads, dh).transpose(0, 2, 1, 3))
 
 
 def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
@@ -369,8 +381,8 @@ def layer_norm_backward(x, mean, rstd, gain: Tensor2, bias: Tensor2, g,
     np.subtract(x, mean, out=xhat)
     xhat *= rstd
     np.multiply(g, xhat, out=prod)
-    gain.grad += prod.sum(axis=0, keepdims=True)
-    bias.grad += g.sum(axis=0, keepdims=True)
+    gain.grad += np.add.reduce(prod, axis=0, keepdims=True)
+    bias.grad += np.add.reduce(g, axis=0, keepdims=True)
     # dx = rstd * (gdy - mean(gdy) - xhat * mean(gdy * xhat)), gdy = g * gain
     np.multiply(g, gain.data, out=gdy)
     np.add.reduce(gdy, axis=1, keepdims=True, out=work.mean_gdy)
@@ -414,15 +426,13 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     input, tanh and output and the attention context are rebuilt from them,
     and buf.hidden (which is buf.act) and buf.tmp are scratch. The result
     is grads.dres, which dout may be."""
-    batch, seq, n_heads, dh = buf.shape
-    d = x.shape[1]
     dres = grads.dres
     if dout is not dres:
         np.copyto(dres, dout)
     # MLP sublayer. LN2's x-hat, re-formed as layer_norm_backward does,
     # gives LN2's output and GELU's input by the forward's ops; GELU's
     # output overwrites its input and is free once W2's gradient is taken
-    p.b_mlp2.grad += dres.sum(axis=0, keepdims=True)
+    p.b_mlp2.grad += np.add.reduce(dres, axis=0, keepdims=True)
     np.matmul(dres, p.w_mlp2.data.T, out=grads.dact)
     np.subtract(buf.mid, buf.mean, out=grads.xhat)
     grads.xhat *= buf.stat
@@ -433,7 +443,7 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
     p.w_mlp2.grad += np.matmul(buf.act.T, dres)
     _gelu_backward(grads.dact, grads.sq, grads.t, buf.tmp, grads.half,
                    buf.act)
-    p.b_mlp1.grad += grads.dact.sum(axis=0, keepdims=True)
+    p.b_mlp1.grad += np.add.reduce(grads.dact, axis=0, keepdims=True)
     np.matmul(grads.dact, p.w_mlp1.data.T, out=grads.dln)
     dres += layer_norm_backward(buf.mid, buf.mean, buf.stat, p.ln2_g,
                                 p.ln2_b, grads.dln, grads)
@@ -441,28 +451,23 @@ def layer_backward(dout: np.ndarray, x: np.ndarray, p: LayerParams,
 
     # attention sublayer; the context is rebuilt by the forward's product
     # into grads.dctx, which its gradient overwrites once W_out's is taken
-    q = buf.heads(buf.q, seq)
-    k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], seq) for i in range(2))
-    dctx = buf.heads(grads.dctx, seq)
-    np.matmul(buf.scores, v, out=dctx)
+    dq, dk, dv, dctx = grads.views
+    np.matmul(buf.scores, buf.views.v, out=dctx)
     p.w_out.grad += np.matmul(grads.dctx.T, dres)
-    p.b_out.grad += dres.sum(axis=0, keepdims=True)
+    p.b_out.grad += np.add.reduce(dres, axis=0, keepdims=True)
     np.matmul(dres, p.w_out.data.T, out=grads.dctx)
-    dq, dk, dv = (buf.heads(grads.dqkv[:, i * d:(i + 1) * d], seq)
-                  for i in range(3))
     w, dw = buf.scores, grads.dw
-    np.matmul(dctx, v.swapaxes(2, 3), out=dw)
+    np.matmul(dctx, buf.views.v.swapaxes(2, 3), out=dw)
     np.matmul(w.swapaxes(2, 3), dctx, out=dv)
     # dscores = w * (dw - sum(dw * w)) over the keys
     np.multiply(dw, w, out=grads.wdw)
     np.add.reduce(grads.wdw, axis=-1, keepdims=True, out=grads.wdw_sum)
     dw -= grads.wdw_sum
     dw *= w
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    np.matmul(dw, k, out=dq)
-    dq *= inv_sqrt
-    np.matmul(dw.swapaxes(2, 3), q, out=dk)
-    dk *= inv_sqrt
+    np.matmul(dw, buf.views.k, out=dq)
+    dq *= buf.scale
+    np.matmul(dw.swapaxes(2, 3), buf.views.q_heads, out=dk)
+    dk *= buf.scale
     np.matmul(grads.dqkv, p.w_qkv.data.T, out=grads.dln)
     dres += layer_norm_backward(x, keys.mean, keys.stat, p.ln1_g, p.ln1_b,
                                 grads.dln, grads)
@@ -521,7 +526,7 @@ class Workspace:
             batch = rows // seq
             self.key = key
             keys = KeyBuffers(batch, seq, seq, d, x.dtype)
-            buf = Buffers(batch, seq, seq, d, d_mlp, n_heads, x.dtype)
+            buf = Buffers(keys, seq, d_mlp, n_heads)
             self.grads = GradBuffers(batch, seq, d, d_mlp, n_heads, x.dtype)
             self.outs = [_empty(x.shape, x.dtype)]
             self.caches = [(keys, buf)]
@@ -531,6 +536,7 @@ class Workspace:
                 for name in names:
                     a = getattr(obj, name)
                     setattr(obj, name, _empty(a.shape, a.dtype))
+            buf._bind(keys)
             self.caches.append((keys, buf))
             self.outs.append(_empty(x.shape, x.dtype))
 

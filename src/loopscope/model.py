@@ -12,7 +12,7 @@ import ctypes
 import glob
 import os
 import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,17 @@ from .layers import (
 )
 
 
+def _check_ints(config, positive=()) -> None:
+    """ValueError for a field of the dataclass `config` annotated int that
+    holds no int (a bool is none), or one named in `positive` below 1."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", int) and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        if f.name in positive and value < 1:
+            raise ValueError(f"{f.name} must be >= 1")
+
+
 @dataclass
 class LoopedConfig:
     vocab_size: int
@@ -45,13 +56,7 @@ class LoopedConfig:
     k_max: int = 30
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_heads", "prelude_layers",
-                     "recurrent_layers", "coda_layers", "max_seq", "k_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        _check_ints(self, positive=[f.name for f in fields(self)])
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -497,14 +502,12 @@ def _beliefs(ids, p_len, prefixes, group, params: LoopedModelParams,
         """Each stacked row's prefix, and the key and query buffers of
         `slots` stacked steps: the prefixes', the rows' and, last, the
         answer row's."""
-        def query(n, n_q, n_k):
-            return Buffers(slots * n, n_q, n_k, d, cfg.d_mlp, cfg.n_heads,
-                           dtype, slots)
+        pre_keys = KeyBuffers(slots * n_pre, p_len, p_len, d, dtype)
+        keys = KeyBuffers(slots * batch, seq - p_len, seq, d, dtype)
+        pre, buf, ans = (Buffers(k, n_q, cfg.d_mlp, cfg.n_heads, slots) for k, n_q
+                         in ((pre_keys, p_len), (keys, seq - p_len), (keys, 1)))
         return ((group + n_pre * np.arange(slots)[:, None]).reshape(-1),
-                KeyBuffers(slots * n_pre, p_len, p_len, d, dtype),
-                query(n_pre, p_len, p_len),
-                KeyBuffers(slots * batch, seq - p_len, seq, d, dtype),
-                query(batch, seq - p_len, seq), query(batch, 1, seq))
+                pre_keys, pre, keys, buf, ans)
 
     def block(layer, pre_h, h, bufs, out=None):
         """One layer over the prefixes and then the rows' own positions.

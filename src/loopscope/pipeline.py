@@ -25,10 +25,10 @@ from .metrics import (
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
-from .model import CHUNK_ROWS, LoopedConfig, deliberate, init_params
+from .model import CHUNK_ROWS, LoopedConfig, _check_ints, deliberate, init_params
 from .seeds import derive_seed
 from .svgplot import emit_entropy_plot, emit_trajectory_plot
-from .taskgen import RENDER_LEN, build_world, generate_benchmark, render_tokens, write_benchmark_jsonl
+from .taskgen import RENDER_LEN, benchmark_jsonl, build_world, generate_benchmark, render_tokens, write_benchmark_jsonl
 from .training import TrainConfig, train
 
 BENCH_FILE = "benchmark.jsonl"
@@ -106,18 +106,13 @@ class ExperimentConfig:
             self.train = TrainConfig(**self.train)
         if not isinstance(self.train, TrainConfig):
             raise ValueError("train must be a TrainConfig or a dict of its fields")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_ints(self, ("k", "n_permutations", "window", "min_run", "n_resamples"))
         # the model fields, checked by the model's own config at any vocab
         self.model_config(vocab_size=1)
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
         if not 0 <= self.holdout_stems < self.n_stems:
             raise ValueError("holdout_stems must be in [0, n_stems)")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if min(self.window, self.min_run, self.n_resamples) < 1:
-            raise ValueError("window, min_run and n_resamples must be >= 1")
         if not 0 < self.level < 1:
             raise ValueError("level must lie in (0, 1)")
         for name in ("category_coherence", "two_hop_fraction"):
@@ -542,6 +537,19 @@ def verify(output_dir) -> list:
             problems.append(f"{name}: content hash mismatch")
     if problems:
         return problems
+
+    # the benchmark, generated again from the config by the writer's builder
+    try:
+        want = benchmark_jsonl(stage_gen_bench(config, write=False)[1])
+    except PipelineError as e:
+        return [f"{BENCH_FILE}: cannot be generated from the config ({e})"]
+    with open(os.path.join(output_dir, BENCH_FILE), "rb") as f:
+        got, want = f.read().splitlines(True), want.encode().splitlines(True)
+    if got != want:
+        first = next(i for i, (a, b) in enumerate(
+            zip(got + [b""], want + [b""]), 1) if a != b)
+        problems.append(f"{BENCH_FILE}: line {first} differs from the "
+                        "benchmark its config generates")
 
     import xml.etree.ElementTree as ET
     for name in (FIG_TRAJ_FILE, FIG_ENTROPY_FILE):

@@ -364,9 +364,13 @@ def item_to_record(item: QuestionItem, permutations: list) -> dict:
     }
 
 
+def benchmark_jsonl(bench: Benchmark) -> str:
+    """The text of benchmark.jsonl: one record per item, keys sorted."""
+    return "".join(json.dumps(item_to_record(it, bench.permutations_for(it)),
+                              sort_keys=True) + "\n" for it in bench.items)
+
+
 def write_benchmark_jsonl(bench: Benchmark, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for item in bench.items:
-            rec = item_to_record(item, bench.permutations_for(item))
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+        f.write(benchmark_jsonl(bench))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import Workspace
-from .model import CHUNK_ROWS, LoopedModelParams, deliberate, loss_and_grads
+from .model import CHUNK_ROWS, LoopedModelParams, _check_ints, deliberate, loss_and_grads
 from .taskgen import SyntheticWorld, render_tokens
 
 
@@ -32,11 +32,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.batch_size < 1 or self.epochs < 1 or self.warmup_steps < 0:
-            raise ValueError("batch_size and epochs must be >= 1, "
-                             "warmup_steps >= 0")
+        _check_ints(self, positive=("batch_size", "epochs"))
+        if self.lr < 0 or self.warmup_steps < 0:
+            raise ValueError("lr and warmup_steps must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0
                 and self.weight_decay >= 0):
             raise ValueError("beta1 and beta2 must lie in [0, 1), eps > 0 "

@@ -168,24 +168,30 @@ def attend_with_np_max(q, k, v, buf):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_q", [9, 1])     # causal mask; one query, no mask
 def test_attend_row_max_methods_give_the_same_bits(dtype, n_q, monkeypatch):
-    """Below _RUNNING_MAX_BATCH sequences _attend takes np.max, from it on a
-    running np.maximum; either way, and with the running max forced at every
-    batch, the weights and context match the np.max formula bit for bit."""
+    """Below _RUNNING_MAX_BATCH sequences _attend takes np.maximum.reduce,
+    from it on a running np.maximum; either way, and with the running max
+    forced at every batch, the weights and context match the np.max formula
+    bit for bit. _attend reads q, k and v through the views its Buffers
+    bound when made; the formula reads its own views of the same arrays."""
     rng = np.random.default_rng(24)
     n_k, d, n_heads = 9, 16, 4
     threshold = layers._RUNNING_MAX_BATCH
     for batch in (1, threshold - 1, threshold, 3 * threshold + 1):
-        buf = layers.Buffers(batch, n_q, n_k, d, 4 * d, n_heads, dtype)
+        keys = layers.KeyBuffers(batch, n_k, n_k, d, dtype)
+        buf = layers.Buffers(keys, n_q, 4 * d, n_heads)
         assert (buf.mask is None) == (n_q == 1)
-        q = buf.heads(rng.normal(0, 3, (batch * n_q, d)).astype(dtype), n_q)
-        k, v = (buf.heads(rng.normal(0, 3, (batch, n_k, d)).astype(dtype),
-                          n_k) for _ in range(2))
+        buf.q[...] = rng.normal(0, 3, buf.q.shape)
+        keys.kv[...] = rng.normal(0, 3, keys.kv.shape)
+        q = buf.heads(buf.q, n_q)
+        k, v = (buf.heads(keys.kv[:, :, i * d:(i + 1) * d], n_k)
+                for i in range(2))
         want = attend_with_np_max(q, k, v, buf).copy()
         want_scores = buf.scores.copy()
         for forced in (threshold, 1):
             monkeypatch.setattr(layers, "_RUNNING_MAX_BATCH", forced)
             buf.ctx[...] = np.nan
-            assert np.array_equal(layers._attend(q, k, v, buf), want)
+            buf.scores[...] = np.nan
+            assert np.array_equal(layers._attend(buf), want)
             assert np.array_equal(buf.scores, want_scores)
 
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from loopscope import model
+from loopscope import layers, model
 from loopscope.autograd import NumericError, ShapeError
 from loopscope.model import (
     LoopedConfig,
@@ -417,6 +417,102 @@ def test_layer_buffers_are_aligned_and_share_no_memory(monkeypatch):
                 assert_aligned_and_apart(keys)
                 # GELU's output overwrites its input in inference
                 assert_aligned_and_apart(buf, alias={"act", "hidden"})
+
+
+def bound_arrays(views):
+    """The arrays among a buffer set's bound views, score columns included."""
+    items = vars(views).values() if hasattr(views, "__dict__") else views
+    for v in items:
+        if isinstance(v, list):
+            yield from v
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+def test_each_workspace_application_binds_views_of_its_own_arrays():
+    """After a k = 3 step, every view an application's buffers bound shares
+    memory with an array of that application's own set, and none shares
+    memory with application 0's cache arrays; those of the cache arrays
+    (q, the scores, the keys and values) are views of the application's
+    own. The one GradBuffers' views are of its own arrays."""
+    params = moved_params(np.float32)
+    tokens, _ = SHARED_BATCHES["shuffled-stems"]
+    workspace = model.Workspace()
+    loss_and_grads(tokens, np.arange(len(tokens)), params, 3, workspace)
+    (keys0, buf0), caches = workspace.caches[0], workspace.caches
+    assert len(caches) > 3
+    cache0 = [getattr(keys0, n) for n in layers._CACHED_KEYS] + [
+        getattr(buf0, n) for n in layers._CACHED]
+    for i, (keys, buf) in enumerate(caches):
+        own = [a for obj in (keys, buf) for a in vars(obj).values()
+               if isinstance(a, np.ndarray)]
+        views = list(bound_arrays(buf.views))
+        assert len(views) > 10
+        for v in views:
+            assert any(np.shares_memory(v, a) for a in own)
+            if i:
+                assert not any(np.shares_memory(v, a) for a in cache0)
+        for name, a in (("q", buf.q), ("scores", buf.scores),
+                        ("kv", keys.kv)):
+            assert any(np.shares_memory(v, a) for v in views), (i, name)
+    grads = workspace.grads
+    own = [a for a in vars(grads).values() if isinstance(a, np.ndarray)]
+    assert len(grads.views) == 4
+    for v in bound_arrays(grads.views):
+        assert any(np.shares_memory(v, a) for a in own)
+
+
+def test_a_batch_1_deliberation_builds_views_only_with_its_buffers(
+        monkeypatch):
+    """A batch-1 k = 30 run_deliberation calls Buffers.heads and
+    layers._last only while a Buffers is being made, never in a layer
+    call."""
+    config = LoopedConfig(vocab_size=20, d_model=16, n_heads=2, max_seq=8,
+                          k_max=30)
+    params = moved_params(np.float32, config)
+    building, calls, forwards = [], [], []
+    init, forward = layers.Buffers.__init__, model.layer_forward
+
+    def building_init(*args, **kwargs):
+        building.append(1)
+        try:
+            init(*args, **kwargs)
+        finally:
+            building.pop()
+
+    def spy(name, original):
+        def call(*args, **kwargs):
+            calls.append((name, bool(building)))
+            return original(*args, **kwargs)
+        return call
+
+    def counted_forward(*args, **kwargs):
+        forwards.append(1)
+        forward(*args, **kwargs)
+
+    monkeypatch.setattr(layers.Buffers, "__init__", building_init)
+    monkeypatch.setattr(layers.Buffers, "heads",
+                        spy("heads", layers.Buffers.heads))
+    monkeypatch.setattr(layers, "_last", spy("_last", layers._last))
+    monkeypatch.setattr(model, "layer_forward", counted_forward)
+    run_deliberation(np.arange(8) % 20, params, 30)
+    assert len(forwards) == (config.prelude_layers + 30 * config.recurrent_layers
+                             + config.coda_layers)
+    assert {name for name, _ in calls} == {"heads", "_last"}
+    assert all(inside for _, inside in calls), calls
+
+
+def test_queries_at_neither_all_positions_nor_the_last_are_refused():
+    """n_q is n_x or 1: another count fails at the first layer call, at
+    batch 1 too, instead of reading rows the queries do not hold."""
+    layer = layers.init_layer(16, 64, np.random.default_rng(0), 0.02)
+    for batch in (1, 2):
+        keys = layers.KeyBuffers(batch, 9, 9, 16, np.float32)
+        buf = layers.Buffers(keys, 3, 64, 4)
+        x = np.ones((batch * 9, 16), np.float32)
+        with pytest.raises(ValueError):
+            layers.layer_forward(x, layer, keys, buf,
+                                 np.empty((batch * 3, 16), np.float32))
 
 
 # -- coda passes --------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from loopscope.cli import main as cli_main
 from loopscope.pipeline import (
+    BENCH_FILE,
     CURVES_FILE,
     MANIFEST_FILE,
     OUTPUT_FILES,
@@ -113,6 +114,59 @@ def test_verify_passes_and_detects_tamper(run, tmp_path):
     assert verify(config.output_dir) == []
     # a directory without a manifest is a partial run
     assert verify(str(tmp_path)) != []
+
+
+def _reorder_keys(lines):
+    # the same record, its keys in reverse order: equal JSON, other bytes
+    lines[2] = json.dumps(dict(reversed(json.loads(lines[2]).items())))
+
+
+def _edit_record(lines):
+    rec = json.loads(lines[2])
+    rec["correct_index"] = (rec["correct_index"] or 0) ^ 1
+    lines[2] = json.dumps(rec, sort_keys=True)
+
+
+@pytest.mark.parametrize("edit,line", [
+    (_edit_record, 3), (_reorder_keys, 3),
+    (lambda lines: lines.pop(), "last"),
+    (lambda lines: lines.append(lines[0]), "past_last"),
+], ids=["edited_record", "reordered_keys", "dropped_last", "appended"])
+def test_verify_generates_the_benchmark_again(run, tmp_path, edit, line):
+    """A benchmark.jsonl edited with its hash updated in the manifest fails
+    verify with one problem naming its first line that differs from the
+    benchmark the manifest's config generates."""
+    config, _ = run
+    out = tmp_path / "run"
+    shutil.copytree(config.output_dir, out)
+    path = out / BENCH_FILE
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n = len(lines)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = json.loads((out / MANIFEST_FILE).read_text())
+    manifest["files"][BENCH_FILE] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest))
+    line = {"last": n, "past_last": n + 1}.get(line, line)
+    assert verify(str(out)) == [f"{BENCH_FILE}: line {line} differs from "
+                                "the benchmark its config generates"]
+
+
+def test_verify_names_a_config_that_generates_no_benchmark(run, tmp_path):
+    """A manifest config that passes ExperimentConfig but from which no
+    benchmark can be generated (a world of one category) is a problem, not
+    a traceback."""
+    config, _ = run
+    out = tmp_path / "run"
+    shutil.copytree(config.output_dir, out)
+    manifest = json.loads((out / MANIFEST_FILE).read_text())
+    manifest["config"]["n_categories"] = 1
+    (out / MANIFEST_FILE).write_text(json.dumps(manifest))
+    problems = verify(str(out))
+    assert len(problems) == 1
+    assert problems[0].startswith(
+        f"{BENCH_FILE}: cannot be generated from the config (")
 
 
 def _drop(key):
@@ -408,6 +462,14 @@ def test_config_validation():
                 # not integers, as a JSON config may hold them
                 dict(d_model=64.0), dict(k=30.0), dict(n_heads=True),
                 dict(prelude_layers=None), dict(coda_layers="1"),
+                # and every other integer field, the train block's too
+                dict(n_categories=4.0), dict(entities_per_category=True),
+                dict(n_attributes=4.0), dict(n_values=6.0), dict(n_stems=240.0),
+                dict(n_permutations=2.0), dict(holdout_stems=2.0),
+                dict(window=3.0), dict(min_run=True), dict(n_resamples=200.0),
+                dict(seed=1.5), dict(train=dict(batch_size=32.0)),
+                dict(train=dict(epochs=2.0)), dict(train=dict(warmup_steps=True)),
+                dict(train=dict(seed=0.5)),
                 dict(category_coherence=-0.1), dict(category_coherence=1.5),
                 dict(category_coherence=float("nan")),
                 dict(two_hop_fraction=2.0), dict(two_hop_fraction=-1e-9),
